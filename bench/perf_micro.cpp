@@ -28,6 +28,7 @@
 #include "panagree/diversity/length3.hpp"
 #include "panagree/dynamics/convergence.hpp"
 #include "exhaustive_rank.hpp"
+#include "map_indices_atomic.hpp"
 #include "panagree/econ/business.hpp"
 #include "panagree/obs/metrics.hpp"
 #include "panagree/obs/slowlog.hpp"
@@ -635,13 +636,14 @@ BENCHMARK(BM_SnapshotLoad_EmbedRecompile)->Unit(benchmark::kMillisecond);
 // ------------------------------------------------- serving engine trio
 //
 // The acceptance workload of the serving layer: a primed
-// serve::QueryEngine over the 3000-AS fixture and the shared 500-source
-// sample. CachedSource measures the request fast path (sampled source
-// served zero-copy out of the PathPool-backed cache - this is what the
-// pinned bench suite gates); ColdSource the on-the-fly enumeration of an
-// unsampled source; WhatIfBatched the incremental what-if scoring of 100
-// candidate deployments (memo flushed per batch, so the
-// invalidation-ball evaluation is measured, not the memo hit).
+// serve::QueryEngine shard over the 3000-AS fixture and the shared
+// 500-source sample. CachedSource measures the shard's fast path (sampled
+// source served zero-copy out of the PathPool-backed cache - this is what
+// the pinned bench suite gates); ColdSource the on-the-fly enumeration of
+// an unsampled source; WhatIfBatched the incremental what-if scoring of
+// 100 candidate deployments through a 1-shard serve::ShardRouter over the
+// same shard (memo flushed per batch, so the invalidation-ball evaluation
+// is measured, not the memo hit).
 // WhatIfFullRecompute is the preserved per-request baseline - every
 // request re-enumerates all 500 sources over its overlay - that the
 // serving layer's >= 5x acceptance ratio is measured against; like the
@@ -659,6 +661,16 @@ serve::QueryEngine& cached_engine() {
     return built;
   }();
   return *engine;
+}
+
+serve::ShardRouter& cached_single_router() {
+  // Leaked like the engine it fronts.
+  static serve::ShardRouter* router = [] {
+    auto* built = new serve::ShardRouter({&cached_engine()});
+    built->refresh_baseline();
+    return built;
+  }();
+  return *router;
 }
 
 void BM_QueryEngine_CachedSource(benchmark::State& state) {
@@ -724,16 +736,16 @@ void BM_QueryEngine_ColdSource(benchmark::State& state) {
 BENCHMARK(BM_QueryEngine_ColdSource);
 
 void BM_QueryEngine_WhatIfBatched(benchmark::State& state) {
-  const serve::QueryEngine& engine = cached_engine();
+  const serve::ShardRouter& router = cached_single_router();
   const auto& deltas = sweep_deltas();
   double utility_sum = 0.0;
   double recomputed = 0.0;
   for (auto _ : state) {
-    engine.flush_whatif_memo();
+    router.flush_whatif_memo();
     utility_sum = 0.0;
     recomputed = 0.0;
     for (const scenario::Delta& delta : deltas) {
-      const serve::WhatIfResult result = engine.whatif(delta);
+      const serve::WhatIfResult result = router.whatif(delta);
       utility_sum += result.utility;
       recomputed += static_cast<double>(result.recomputed_sources);
     }
@@ -793,10 +805,10 @@ BENCHMARK(BM_QueryEngine_WhatIfFullRecompute)
 //
 // The sharded-serving additions. BM_Serve_ShardedWhatIf is the 4-shard
 // twin of BM_QueryEngine_WhatIfBatched: the same candidate deltas scored
-// through a serve::ShardRouter (per-shard whatif_slice fan-out + the
-// router's in-order contribution fold), memo flushed per batch so the
+// through a 4-shard serve::ShardRouter (per-shard whatif_slice fan-out +
+// the router's in-order contribution fold), memo flushed per batch so the
 // sharded evaluation is measured, not the router memo hit; utility_sum
-// must match the single-engine entry (byte-identity property).
+// must match the 1-shard entry (byte-identity property).
 // BM_SnapshotLoad_PrimedBaseline is the mmap-only cold start: open a
 // snapshot compiled with a shard plan (panagree-compile --shards),
 // rebuild the per-source path caches straight off the primed-baseline
@@ -804,8 +816,8 @@ BENCHMARK(BM_QueryEngine_WhatIfFullRecompute)
 // against the prime_ns a fresh ScenarioSweep prime pays.
 
 serve::ShardRouter& cached_router() {
-  // Leaked like cached_engine(): router and shards are not movable and
-  // must outlive each other.
+  // Leaked like cached_single_router(): router and shards are not
+  // movable and must outlive each other.
   static serve::ShardRouter* router = [] {
     constexpr std::size_t kShards = 4;
     const auto& sources = sweep_sources();
@@ -981,7 +993,7 @@ void BM_MapSources_AtomicCursor(benchmark::State& state) {
   std::uint64_t checksum = 0;
   for (auto _ : state) {
     checksum =
-        sum_results(paths::map_indices_atomic(kDriverItems, threads,
+        sum_results(benchcfg::map_indices_atomic(kDriverItems, threads,
                                               driver_item_work));
     benchmark::DoNotOptimize(checksum);
   }
@@ -1115,12 +1127,12 @@ BENCHMARK(BM_Obs_SlowlogRecord);
 
 void BM_Serve_StageClockOverhead(benchmark::State& state) {
   // What one fully observed request costs on top of the work itself: the
-  // cache-served fast path through handle_line with an external stage
-  // clock, plus finish_request_observation (8 histogram records, a
-  // slowlog offer, and - tracing disarmed here - no span recording).
-  // Compare against BM_QueryEngine_CachedSource/1024 for the
+  // cache-served fast path through the 1-shard router's handle_line with
+  // an external stage clock, plus finish_request_observation (8 histogram
+  // records, a slowlog offer, and - tracing disarmed here - no span
+  // recording). Compare against BM_QueryEngine_CachedSource/1024 for the
   // uninstrumented floor of the same request.
-  const serve::QueryEngine& engine = cached_engine();
+  serve::ShardRouter& router = cached_single_router();
   const auto& sources = sweep_sources();
   const std::string line_prefix = R"({"v":1,"id":1,"kind":"paths","source":)";
   std::vector<std::string> lines;
@@ -1134,7 +1146,7 @@ void BM_Serve_StageClockOverhead(benchmark::State& state) {
     out.clear();
     serve::RequestStages stages;
     stages.enqueue_ns = serve::stage_now_ns();
-    engine.handle_line(lines[i % lines.size()], out, &stages);
+    router.handle_line(lines[i % lines.size()], out, &stages);
     stages.send_ns = 1;  // stand in for the server's send stage
     serve::finish_request_observation(stages);
     ++i;

@@ -18,10 +18,9 @@
 // removes the per-item claim from the hot path (one CAS per *chunk*, on a
 // per-worker cache line) and stops tail sources from serializing the
 // sweep: a mega-degree source pins one worker while the rest redistribute
-// everything else among themselves. The old driver is preserved as
-// map_indices_atomic, the measured baseline of the BM_MapSources_* benches
-// (with its cursor/failed false sharing fixed - both now sit on their own
-// cache lines).
+// everything else among themselves. The old driver lives on as the
+// measured baseline of the BM_MapSources_* benches, in
+// bench/map_indices_atomic.hpp.
 //
 // NUMA placement rides on the same seeding: ExecPolicy pins worker
 // threads to cpus (TopologyPlacement), dealt to nodes in the same
@@ -314,77 +313,6 @@ template <typename Fn>
   MapOptions options;
   options.min_parallel = min_parallel;
   return map_indices(count, threads, std::forward<Fn>(fn), options);
-}
-
-/// The previous driver - one shared atomic cursor claiming one index per
-/// fetch_add - preserved verbatim as the measured baseline of the
-/// BM_MapSources_* benches (like the *_GraphBaseline walkers), with its
-/// false sharing fixed: cursor and failed each own a cache line instead
-/// of splitting one, so the baseline measures the design, not the bug.
-/// Identical contract and results as map_indices.
-template <typename Fn>
-[[nodiscard]] auto map_indices_atomic(std::size_t count, std::size_t threads,
-                                      Fn&& fn,
-                                      std::size_t min_parallel =
-                                          kMinParallelSources)
-    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
-  using Result = std::invoke_result_t<Fn&, std::size_t>;
-  static_assert(!std::is_same_v<Result, bool>,
-                "map_indices_atomic: bool results are not thread-safe "
-                "(vector<bool> packs bits)");
-  std::vector<Result> results(count);
-  const std::size_t workers = std::min(resolve_thread_count(threads), count);
-  if (workers <= 1 || count < min_parallel) {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = fn(i);
-    }
-    return results;
-  }
-
-  struct alignas(kCacheLineAlign) Shared {
-    std::atomic<std::size_t> cursor{0};
-    alignas(kCacheLineAlign) std::atomic<bool> failed{false};
-  } shared;
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  const auto worker = [&] {
-    while (!shared.failed.load(std::memory_order_relaxed)) {
-      const std::size_t i =
-          shared.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) {
-        return;
-      }
-      try {
-        results[i] = fn(i);
-      } catch (...) {
-        shared.failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) {
-          error = std::current_exception();
-        }
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t t = 0; t < workers; ++t) {
-      pool.emplace_back(worker);
-    }
-  } catch (...) {
-    shared.failed.store(true, std::memory_order_relaxed);
-    for (std::thread& t : pool) {
-      t.join();
-    }
-    throw;
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
-  return results;
 }
 
 /// Runs `fn(sources[i])` for every i and returns the results in source

@@ -1,14 +1,8 @@
 #include "panagree/serve/query_engine.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <string>
-#include <tuple>
 #include <utility>
 
-#include "panagree/obs/build_info.hpp"
 #include "panagree/obs/metrics.hpp"
-#include "panagree/obs/trace.hpp"
 
 namespace panagree::serve {
 
@@ -20,11 +14,7 @@ struct EngineMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& paths_cache_hits = reg.counter("engine.paths_cache_hits");
   obs::Counter& paths_cold = reg.counter("engine.paths_cold");
-  obs::Counter& memo_hits = reg.counter("engine.whatif_memo_hits");
-  obs::Counter& memo_shared = reg.counter("engine.whatif_memo_shared");
-  obs::Counter& memo_unshared = reg.counter("engine.whatif_unshared");
   obs::Counter& rebases = reg.counter("engine.rebases");
-  obs::Histogram& batch = reg.histogram("engine.whatif_batch");
 };
 
 [[nodiscard]] EngineMetrics& engine_metrics() {
@@ -32,106 +22,10 @@ struct EngineMetrics {
   return metrics;
 }
 
-// Per-stage latency histograms the stage clock folds every request into
-// (finish_request_observation). engine_cache/engine_sweep split the
-// engine stage by which machinery served it.
-struct StageMetrics {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Histogram& queue = reg.histogram("serve.stage_ns.queue");
-  obs::Histogram& parse = reg.histogram("serve.stage_ns.parse");
-  obs::Histogram& engine = reg.histogram("serve.stage_ns.engine");
-  obs::Histogram& engine_cache =
-      reg.histogram("serve.stage_ns.engine_cache");
-  obs::Histogram& engine_sweep =
-      reg.histogram("serve.stage_ns.engine_sweep");
-  obs::Histogram& serialize = reg.histogram("serve.stage_ns.serialize");
-  obs::Histogram& send = reg.histogram("serve.stage_ns.send");
-  obs::Histogram& wall = reg.histogram("serve.stage_ns.wall");
-};
-
-[[nodiscard]] StageMetrics& stage_metrics() {
-  static StageMetrics metrics;
-  return metrics;
-}
-
 scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
                                   AsId src) {
   return scenario::enumerate_length3(overlay, src);
 }
-
-}  // namespace
-
-namespace detail {
-
-RequestMetricsRef& request_metrics(RequestKind kind) {
-  obs::Registry& reg = obs::Registry::global();
-  static RequestMetricsRef paths{reg.counter("serve.requests.paths"),
-                                 reg.histogram("serve.latency_ns.paths")};
-  static RequestMetricsRef diversity{
-      reg.counter("serve.requests.diversity"),
-      reg.histogram("serve.latency_ns.diversity")};
-  static RequestMetricsRef whatif{reg.counter("serve.requests.whatif"),
-                                  reg.histogram("serve.latency_ns.whatif")};
-  static RequestMetricsRef stats{reg.counter("serve.requests.stats"),
-                                 reg.histogram("serve.latency_ns.stats")};
-  static RequestMetricsRef slowlog{reg.counter("serve.requests.slowlog"),
-                                   reg.histogram("serve.latency_ns.slowlog")};
-  static RequestMetricsRef rebase{reg.counter("serve.requests.rebase"),
-                                  reg.histogram("serve.latency_ns.rebase")};
-  switch (kind) {
-    case RequestKind::kPaths: return paths;
-    case RequestKind::kDiversity: return diversity;
-    case RequestKind::kWhatIf: return whatif;
-    case RequestKind::kStats: return stats;
-    case RequestKind::kSlowLog: return slowlog;
-    case RequestKind::kRebase: return rebase;
-  }
-  return paths;  // unreachable
-}
-
-RequestMetricsRef& error_metrics() {
-  obs::Registry& reg = obs::Registry::global();
-  static RequestMetricsRef errors{reg.counter("serve.requests.errors"),
-                                  reg.histogram("serve.latency_ns.errors")};
-  return errors;
-}
-
-}  // namespace detail
-
-/// Order-insensitive key of a delta: the memo must batch "the same dirty
-/// ball" however the client listed the links. Pair direction is kept for
-/// added links (provider/customer roles) and normalized for removals
-/// (undirected, like Overlay).
-std::string canonical_delta_key(const scenario::Delta& delta) {
-  std::vector<scenario::LinkChange> add = delta.add;
-  std::sort(add.begin(), add.end(),
-            [](const scenario::LinkChange& x, const scenario::LinkChange& y) {
-              return std::tie(x.a, x.b, x.type) < std::tie(y.a, y.b, y.type);
-            });
-  std::vector<std::pair<AsId, AsId>> remove;
-  remove.reserve(delta.remove.size());
-  for (const auto& [x, y] : delta.remove) {
-    remove.emplace_back(std::min(x, y), std::max(x, y));
-  }
-  std::sort(remove.begin(), remove.end());
-  std::string key;
-  for (const scenario::LinkChange& change : add) {
-    key += '+';
-    key += std::to_string(change.a);
-    key += ',';
-    key += std::to_string(change.b);
-    key += change.type == topology::LinkType::kPeering ? 'p' : 't';
-  }
-  for (const auto& [x, y] : remove) {
-    key += '-';
-    key += std::to_string(x);
-    key += ',';
-    key += std::to_string(y);
-  }
-  return key;
-}
-
-namespace {
 
 [[nodiscard]] DiversityResult to_diversity_result(
     const scenario::SourceContribution& contribution) {
@@ -153,9 +47,9 @@ namespace {
 
 /// The immutable unit the shared_mutex guards: one primed runner cache,
 /// the overlay of its composed state, and the additive per-source
-/// contributions that make whatif scoring an O(sources) fold. rebase()
-/// copies, mutates the copy, and swaps - readers keep old snapshots
-/// alive through the shared_ptr.
+/// contributions the router splices what-if scores from. rebase() copies,
+/// mutates the copy, and swaps - readers keep old snapshots alive through
+/// the shared_ptr.
 struct QueryEngine::State {
   State(const topology::CompiledTopology& base, std::vector<AsId> sources,
         scenario::SweepConfig config)
@@ -164,22 +58,17 @@ struct QueryEngine::State {
   scenario::SweepRunner<scenario::SourcePathSet> runner;
   scenario::Overlay overlay;
   std::vector<scenario::SourceContribution> contribs;
-  scenario::SourceContribution total;
-  scenario::ScenarioMetrics metrics;
 
-  /// Recomputes contribs/total/metrics from the runner's cache (after
-  /// prime or rebase). Pure folds over already-enumerated path sets.
+  /// Recomputes contribs from the runner's cache (after prime or
+  /// rebase). Pure folds over already-enumerated path sets.
   void refresh_contributions(const scenario::MetricsAggregator& aggregator) {
     const std::vector<scenario::SourcePathSet>& cache = runner.baseline();
     contribs.clear();
     contribs.reserve(cache.size());
-    total = scenario::SourceContribution{};
     scenario::MetricsAggregator::Scratch scratch;
     for (const scenario::SourcePathSet& sets : cache) {
       contribs.push_back(aggregator.contribution(overlay, sets, scratch));
-      total += contribs.back();
     }
-    metrics = scenario::finalize(total);
   }
 };
 
@@ -202,26 +91,17 @@ QueryEngine::QueryEngine(const topology::CompiledTopology& base,
 QueryEngine::~QueryEngine() = default;
 
 void QueryEngine::prime() {
-  const std::lock_guard<std::mutex> writer(rebase_mutex_);
-  {
-    const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    if (state_ != nullptr) {
-      return;
-    }
-  }
-  scenario::SweepConfig sweep;
-  sweep.threads = config_.threads;
-  sweep.dirty_radius = scenario::kLength3DirtyRadius;
-  sweep.exec.pin_threads = config_.pin_threads;
-  auto state = std::make_shared<State>(*base_, sources_, sweep);
-  state->runner.prime(enumerate);
-  state->refresh_contributions(aggregator_);
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  state_ = std::move(state);
+  install([](State& state) { state.runner.prime(enumerate); });
 }
 
 void QueryEngine::prime_restored(
     std::vector<scenario::SourcePathSet>&& baseline) {
+  install([&baseline](State& state) {
+    state.runner.restore_baseline(std::move(baseline));
+  });
+}
+
+void QueryEngine::install(const std::function<void(State&)>& fill) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   {
     const std::shared_lock<std::shared_mutex> lock(state_mutex_);
@@ -234,7 +114,7 @@ void QueryEngine::prime_restored(
   sweep.dirty_radius = scenario::kLength3DirtyRadius;
   sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
-  state->runner.restore_baseline(std::move(baseline));
+  fill(*state);
   state->refresh_contributions(aggregator_);
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(state);
@@ -249,10 +129,6 @@ std::shared_ptr<const QueryEngine::State> QueryEngine::snapshot() const {
 std::uint64_t QueryEngine::epoch() const {
   const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   return epoch_;
-}
-
-scenario::ScenarioMetrics QueryEngine::state_metrics() const {
-  return snapshot()->metrics;
 }
 
 void QueryEngine::paths(AsId src, const PathsSink& sink) const {
@@ -283,49 +159,6 @@ DiversityResult QueryEngine::diversity(AsId src) const {
   return to_diversity_result(aggregator_.contribution(state->overlay, sets));
 }
 
-WhatIfResult QueryEngine::compute_whatif(const State& state,
-                                         const scenario::Delta& delta) const {
-  scenario::SweepStats stats;
-  std::vector<std::size_t> dirty_positions;
-  std::vector<scenario::SourceContribution> fresh;
-  scenario::MetricsAggregator::Scratch scratch;
-  state.runner.evaluate_dirty_visit(
-      delta, enumerate,
-      [&](std::size_t i, const scenario::Overlay& overlay,
-          const scenario::SourcePathSet& result) {
-        dirty_positions.push_back(i);
-        fresh.push_back(aggregator_.contribution(overlay, result, scratch));
-      },
-      &stats);
-
-  // Splice the dirty slices into the state's per-source contributions
-  // (fixed source-order association, exactly like the optimizer's fold).
-  scenario::SourceContribution total;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < state.contribs.size(); ++i) {
-    if (next < dirty_positions.size() && dirty_positions[next] == i) {
-      total += fresh[next];
-      ++next;
-    } else {
-      total += state.contribs[i];
-    }
-  }
-  const scenario::ScenarioMetrics metrics = scenario::finalize(total);
-  const scenario::MetricsDelta marginal =
-      scenario::subtract(metrics, state.metrics);
-
-  WhatIfResult result;
-  result.paths_delta = marginal.paths;
-  result.pairs_delta = marginal.pairs;
-  result.mean_km_delta = marginal.mean_best_geodistance_km;
-  result.fees_delta = marginal.transit_fees;
-  result.utility = scenario::operator_utility(marginal, config_.weights);
-  result.recomputed_sources = stats.recomputed_sources;
-  result.cached_sources = stats.cached_sources;
-  result.ball_size = stats.ball_size;
-  return result;
-}
-
 QueryEngine::ContributionView QueryEngine::contributions() const {
   const std::shared_ptr<const State> state = snapshot();
   ContributionView view;
@@ -353,55 +186,6 @@ QueryEngine::WhatIfSlice QueryEngine::whatif_slice(
   return slice;
 }
 
-WhatIfResult QueryEngine::whatif(const scenario::Delta& delta) const {
-  std::shared_ptr<const State> state;
-  std::uint64_t epoch = 0;
-  {
-    const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    util::require(state_ != nullptr, "QueryEngine: prime() first");
-    state = state_;
-    epoch = epoch_;
-  }
-  if (config_.max_batch == 0) {
-    engine_metrics().memo_unshared.increment();
-    return compute_whatif(*state, delta);
-  }
-
-  const std::string key = canonical_delta_key(delta);
-  std::shared_future<WhatIfResult> shared;
-  std::promise<WhatIfResult> promise;
-  bool owner = false;
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = memo_.find(key);
-    if (it != memo_.end() && it->second.epoch == epoch) {
-      shared = it->second.future;
-    } else if (it != memo_.end() || memo_.size() < config_.max_batch) {
-      shared = promise.get_future().share();
-      memo_[key] = MemoEntry{epoch, shared};
-      owner = true;
-    }
-    // else: batch full - compute unshared below.
-  }
-  if (!owner && shared.valid()) {
-    engine_metrics().memo_hits.increment();
-    return shared.get();
-  }
-  if (!owner) {
-    engine_metrics().memo_unshared.increment();
-    return compute_whatif(*state, delta);
-  }
-  engine_metrics().memo_shared.increment();
-  try {
-    WhatIfResult result = compute_whatif(*state, delta);
-    promise.set_value(result);
-    return result;
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    throw;
-  }
-}
-
 void QueryEngine::rebase(const scenario::Delta& step) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   const std::shared_ptr<const State> current = snapshot();
@@ -418,208 +202,6 @@ void QueryEngine::rebase(const scenario::Delta& step) {
     ++epoch_;
   }
   engine_metrics().rebases.increment();
-  flush_whatif_memo();
-}
-
-void QueryEngine::flush_whatif_memo() const {
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
-  // The memo size at flush is the realized epoch batch: how many
-  // distinct deltas shared this state generation.
-  engine_metrics().batch.record(memo_.size());
-  memo_.clear();
-}
-
-void QueryEngine::handle_line(std::string_view line, std::string& out,
-                              RequestStages* stages) const {
-  RequestStages local;
-  RequestStages& st = stages != nullptr ? *stages : local;
-  st.start_ns = stage_now_ns();
-  std::uint64_t id = 0;
-  bool parsed = false;
-  try {
-    const Request request = parse_request(line, &id);
-    const std::uint64_t parsed_ns = stage_now_ns();
-    st.parse_ns = parsed_ns - st.start_ns;
-    st.wire_id = request.id;
-    st.slow_kind = static_cast<std::uint64_t>(request.kind);
-    parsed = true;
-    // Count the request before handling it, so a stats response
-    // deterministically includes itself (the CI smoke asserts exact
-    // counts for a scripted session).
-    detail::RequestMetricsRef& metrics = detail::request_metrics(request.kind);
-    metrics.count.increment();
-    switch (request.kind) {
-      case RequestKind::kPaths: {
-        st.source = request.source;
-        st.work = source_index_.contains(request.source)
-                      ? EngineWork::kCache
-                      : EngineWork::kSweep;
-        // Serialization happens inside the engine sink (the spans are
-        // only valid during the call), so it is measured directly and
-        // subtracted from the surrounding interval: engine + serialize
-        // covers [parse end, response done) exactly.
-        std::uint64_t serialize_ns = 0;
-        paths(request.source,
-              [&](std::span<const diversity::Length3Path> grc,
-                  std::span<const diversity::Length3Path> ma) {
-                const std::uint64_t serialize_start = stage_now_ns();
-                append_paths_response(out, request.id, request.source, grc,
-                                      ma);
-                serialize_ns = stage_now_ns() - serialize_start;
-              });
-        const std::uint64_t done_ns = stage_now_ns();
-        st.serialize_ns = serialize_ns;
-        st.engine_ns = done_ns - parsed_ns - serialize_ns;
-        metrics.latency_ns.record(done_ns - st.start_ns);
-        break;
-      }
-      case RequestKind::kDiversity: {
-        st.source = request.source;
-        st.work = source_index_.contains(request.source)
-                      ? EngineWork::kCache
-                      : EngineWork::kSweep;
-        const DiversityResult result = diversity(request.source);
-        const std::uint64_t engine_done_ns = stage_now_ns();
-        st.engine_ns = engine_done_ns - parsed_ns;
-        append_diversity_response(out, request.id, request.source, result);
-        const std::uint64_t done_ns = stage_now_ns();
-        st.serialize_ns = done_ns - engine_done_ns;
-        metrics.latency_ns.record(done_ns - st.start_ns);
-        break;
-      }
-      case RequestKind::kWhatIf: {
-        st.delta_links =
-            request.delta.add.size() + request.delta.remove.size();
-        st.work = EngineWork::kSweep;
-        const WhatIfResult result = whatif(request.delta);
-        const std::uint64_t engine_done_ns = stage_now_ns();
-        st.engine_ns = engine_done_ns - parsed_ns;
-        append_whatif_response(out, request.id, result);
-        const std::uint64_t done_ns = stage_now_ns();
-        st.serialize_ns = done_ns - engine_done_ns;
-        metrics.latency_ns.record(done_ns - st.start_ns);
-        break;
-      }
-      case RequestKind::kStats: {
-        // Latency recorded before the snapshot, so the histogram's count
-        // matches the counter in the response it ships.
-        metrics.latency_ns.record(stage_now_ns() - st.start_ns);
-        obs::refresh_process_gauges();
-        const std::uint64_t current_epoch = epoch();
-        const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-        const std::uint64_t engine_done_ns = stage_now_ns();
-        st.engine_ns = engine_done_ns - parsed_ns;
-        append_stats_response(out, request.id,
-                              obs::build_info().git_describe,
-                              current_epoch, snap);
-        st.serialize_ns = stage_now_ns() - engine_done_ns;
-        break;
-      }
-      case RequestKind::kRebase:
-        // Rebase over the wire is the shard router's job (it owns the
-        // cross-shard epoch barrier); on the bare engine it would race
-        // the const dispatch path, so the kind is rejected here.
-        throw util::PreconditionError(
-            "rebase requires the shard-router front end");
-      case RequestKind::kSlowLog: {
-        metrics.latency_ns.record(stage_now_ns() - st.start_ns);
-        obs::SlowQueryLog& log = obs::SlowQueryLog::global();
-        const std::vector<obs::SlowQueryRecord> entries = log.snapshot();
-        const std::uint64_t engine_done_ns = stage_now_ns();
-        st.engine_ns = engine_done_ns - parsed_ns;
-        append_slowlog_response(out, request.id, log.threshold_ns(),
-                                entries);
-        st.serialize_ns = stage_now_ns() - engine_done_ns;
-        break;
-      }
-    }
-  } catch (const std::exception& e) {
-    const std::uint64_t caught_ns = stage_now_ns();
-    // Attribute the time up to the failure to the stage it died in:
-    // parse failures to parse, everything later to engine.
-    if (!parsed) {
-      st.parse_ns = caught_ns - st.start_ns;
-    } else {
-      st.engine_ns = caught_ns - st.start_ns - st.parse_ns;
-      st.serialize_ns = 0;
-    }
-    st.wire_id = id;
-    st.slow_kind = kSlowKindError;
-    st.work = EngineWork::kNone;
-    detail::RequestMetricsRef& errors = detail::error_metrics();
-    errors.count.increment();
-    errors.latency_ns.record(caught_ns - st.start_ns);
-    append_error_response(out, id, e.what());
-    st.serialize_ns += stage_now_ns() - caught_ns;
-  }
-  if (stages == nullptr) {
-    // --direct / in-process callers: no queue or send stages, finish
-    // the observation here.
-    finish_request_observation(st);
-  }
-}
-
-void finish_request_observation(const RequestStages& st) {
-  if constexpr (!obs::enabled()) {
-    return;
-  }
-  StageMetrics& metrics = stage_metrics();
-  metrics.queue.record(st.queue_ns());
-  metrics.parse.record(st.parse_ns);
-  metrics.engine.record(st.engine_ns);
-  switch (st.work) {
-    case EngineWork::kCache:
-      metrics.engine_cache.record(st.engine_ns);
-      break;
-    case EngineWork::kSweep:
-      metrics.engine_sweep.record(st.engine_ns);
-      break;
-    case EngineWork::kNone:
-      break;
-  }
-  metrics.serialize.record(st.serialize_ns);
-  metrics.send.record(st.send_ns);
-  metrics.wall.record(st.wall_ns());
-
-  obs::SlowQueryRecord record;
-  record.wire_id = st.wire_id;
-  record.kind = st.slow_kind;
-  record.source = st.source;
-  record.delta_links = st.delta_links;
-  record.wall_ns = st.wall_ns();
-  record.queue_ns = st.queue_ns();
-  record.parse_ns = st.parse_ns;
-  record.engine_ns = st.engine_ns;
-  record.serialize_ns = st.serialize_ns;
-  record.send_ns = st.send_ns;
-  obs::SlowQueryLog::global().record(record);
-
-  if (obs::trace_enabled()) {
-    // The span tree: one root per request carrying the wire id, one
-    // child per nonzero stage. Stage start offsets are the cumulative
-    // sums of the stage durations (serialize interleaves with engine
-    // inside the paths sink, so its own interval is approximated as
-    // following the engine stage; durations stay exact).
-    const std::uint64_t root_id = obs::trace_next_span_id();
-    const std::uint64_t root_start =
-        st.enqueue_ns != 0 ? st.enqueue_ns : st.start_ns;
-    std::uint64_t cursor = root_start;
-    const auto stage = [&](const char* name, std::uint64_t duration_ns) {
-      if (duration_ns != 0) {
-        obs::trace_record_span(
-            name, cursor, cursor + duration_ns,
-            obs::SpanArgs{obs::trace_next_span_id(), root_id, 0, false});
-      }
-      cursor += duration_ns;
-    };
-    stage("serve.stage.queue", st.queue_ns());
-    stage("serve.stage.parse", st.parse_ns);
-    stage("serve.stage.engine", st.engine_ns);
-    stage("serve.stage.serialize", st.serialize_ns);
-    stage("serve.stage.send", st.send_ns);
-    obs::trace_record_span("serve.request", root_start, cursor,
-                           obs::SpanArgs{root_id, 0, st.wire_id, true});
-  }
 }
 
 }  // namespace panagree::serve

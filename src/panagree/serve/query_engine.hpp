@@ -1,173 +1,60 @@
-// The serving layer's query engine: a long-running, thread-safe front end
-// over one topology snapshot and one primed scenario::SweepRunner.
+// One serving shard: a thread-safe, long-running owner of one topology
+// snapshot and one primed scenario::SweepRunner over a slice of the
+// canonical source sample. Every batch tool in this repo loads,
+// enumerates, prints, and exits; a shard keeps the expensive state
+// resident and answers out of it:
 //
-// Every batch tool in this repo loads, enumerates, prints, and exits; the
-// engine keeps the expensive state resident and answers three request
-// kinds out of it:
+//   * paths        - the §VI GRC + MA length-3 path sets of a source.
+//                    Sampled sources are served zero-copy out of the
+//                    runner's PathPool-backed per-source cache; other
+//                    sources are enumerated on the fly (cold).
+//   * diversity    - the per-source diversity / geodistance / fee
+//                    aggregate (scenario::SourceContribution, finalized).
+//   * whatif_slice - the per-source inputs of a what-if score: only the
+//                    sources inside the delta's invalidation ball are
+//                    re-enumerated (the SweepRunner machinery), never a
+//                    full recompute.
 //
-//   * paths      - the §VI GRC + MA length-3 path sets of a source.
-//                  Sampled sources are served zero-copy out of the
-//                  runner's PathPool-backed per-source cache; other
-//                  sources are enumerated on the fly (cold).
-//   * diversity  - the per-source diversity / geodistance / fee
-//                  aggregate (scenario::SourceContribution, finalized).
-//   * whatif     - score a candidate link delta against the current
-//                  state: only the sources inside the delta's
-//                  invalidation ball are re-enumerated (the SweepRunner
-//                  machinery), never a full recompute, and the scenario
-//                  is re-scored in O(sources) additive folds.
+// Requests reach shards only through serve::ShardRouter, the one wire
+// front end: it parses request lines, memoizes what-ifs per epoch,
+// splices the shards' slices in canonical source order, and scores the
+// fold once.
 //
-// Concurrency model: read-mostly. The engine state (runner cache,
-// per-source contributions, baseline metrics) lives behind a
-// std::shared_mutex as an immutable shared_ptr snapshot; readers take the
-// shared lock only long enough to copy the pointer and then work lock-free
-// on their snapshot. rebase() (committing a deployment program step) is
-// copy-on-rebase: it clones the state, folds the step into the clone's
-// cache (recomputing only the step's invalidation ball), and swaps the
-// pointer under the exclusive lock - in-flight readers keep their old
-// snapshot alive, so readers never block on a rebase.
-//
-// Epoch batching: concurrent whatif requests for the same delta share one
-// enumeration. The first requester installs a shared future keyed by the
-// canonical delta; later requesters (same epoch) wait on it instead of
-// re-walking the dirty ball. rebase() bumps the epoch and drops the memo
-// - cached scores are only ever served against the state they were
-// computed on. The memo is bounded (max_batch): past the cap requests
-// compute unshared rather than grow memory.
+// Concurrency model: read-mostly. The shard state (runner cache, overlay,
+// per-source contributions) lives behind a std::shared_mutex as an
+// immutable shared_ptr snapshot; readers take the shared lock only long
+// enough to copy the pointer and then work lock-free on their snapshot.
+// rebase() (committing a deployment program step) is copy-on-rebase: it
+// clones the state, folds the step into the clone's cache (recomputing
+// only the step's invalidation ball), and swaps the pointer under the
+// exclusive lock - in-flight readers keep their old snapshot alive, so
+// readers never block on a rebase.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "panagree/econ/business.hpp"
-#include "panagree/obs/metrics.hpp"
 #include "panagree/scenario/metrics.hpp"
 #include "panagree/scenario/sweep.hpp"
 #include "panagree/serve/wire.hpp"
 
 namespace panagree::serve {
 
-/// The stage clock's time source: steady-clock nanoseconds when the obs
-/// layer is live, constant 0 under PANAGREE_OBS_OFF - which collapses
-/// every stage duration to zero and makes the whole per-request clock a
-/// no-op without a single branch in the instrumented code.
-[[nodiscard]] inline std::uint64_t stage_now_ns() noexcept {
-  if constexpr (obs::enabled()) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  } else {
-    return 0;
-  }
-}
-
-/// Which engine machinery served a request's engine stage - the
-/// sweep/cache sub-attribution folded into the per-stage histograms
-/// (serve.stage_ns.engine_cache vs serve.stage_ns.engine_sweep).
-enum class EngineWork : std::uint8_t {
-  kNone,   // introspection kinds (stats, slowlog) and failed requests
-  kCache,  // served out of the primed per-source cache
-  kSweep,  // went through enumeration / the incremental sweep
-};
-
-/// Per-request stage clock, threaded from accept to send. handle_line
-/// fills parse/engine/serialize and the request identity; the server
-/// supplies enqueue_ns before the call and send_ns after, then hands the
-/// record to finish_request_observation. The five stage durations sum to
-/// wall_ns() by construction: serialization that happens inside an
-/// engine sink (the paths response) is measured directly and subtracted
-/// from the surrounding engine interval, so no nanosecond is counted
-/// twice or dropped.
-struct RequestStages {
-  /// Server reader's enqueue timestamp (stage_now_ns clock); 0 means no
-  /// queue stage (--direct calls).
-  std::uint64_t enqueue_ns = 0;
-  /// handle_line entry timestamp (set by handle_line).
-  std::uint64_t start_ns = 0;
-  std::uint64_t parse_ns = 0;
-  std::uint64_t engine_ns = 0;
-  std::uint64_t serialize_ns = 0;
-  /// Socket write duration (set by the server after send_all; 0 for
-  /// --direct).
-  std::uint64_t send_ns = 0;
-
-  std::uint64_t wire_id = 0;
-  /// Wire slow-kind code (RequestKind value, or kSlowKindError).
-  std::uint64_t slow_kind = 0;
-  std::uint64_t source = 0;
-  std::uint64_t delta_links = 0;
-  EngineWork work = EngineWork::kNone;
-
-  /// Queue wait: handle start minus enqueue (0 without a queue stage).
-  [[nodiscard]] std::uint64_t queue_ns() const noexcept {
-    return enqueue_ns != 0 && start_ns > enqueue_ns
-               ? start_ns - enqueue_ns
-               : 0;
-  }
-
-  /// Total attributed wall time: the exact sum of the five stages.
-  [[nodiscard]] std::uint64_t wall_ns() const noexcept {
-    return queue_ns() + parse_ns + engine_ns + serialize_ns + send_ns;
-  }
-};
-
-/// Folds a completed request's stage clock into the per-stage
-/// histograms (serve.stage_ns.*), offers it to the slow-query ring
-/// (obs::SlowQueryLog::global()), and - when PANAGREE_TRACE is live -
-/// records its span tree: one "serve.request" root span carrying the
-/// wire id, one "serve.stage.*" child span per nonzero stage. Called by
-/// the server worker after the response bytes are on the socket (so a
-/// slowlog response never contains its own request) and by handle_line
-/// itself for --direct calls.
-void finish_request_observation(const RequestStages& stages);
-
-/// Order-insensitive canonical key of a delta (whatif/rebase memo key):
-/// added links keep their direction (provider/customer roles), removals
-/// are normalized undirected, both sorted. Shared by the engine's epoch
-/// batch and the shard router's.
-[[nodiscard]] std::string canonical_delta_key(const scenario::Delta& delta);
-
-namespace detail {
-
-/// Per-request-kind counter + latency histogram (serve.requests.*,
-/// serve.latency_ns.*), shared by every dispatch front end so a scripted
-/// session scores the same counters through the engine, the shard
-/// router, or --direct.
-struct RequestMetricsRef {
-  obs::Counter& count;
-  obs::Histogram& latency_ns;
-};
-
-[[nodiscard]] RequestMetricsRef& request_metrics(RequestKind kind);
-[[nodiscard]] RequestMetricsRef& error_metrics();
-
-}  // namespace detail
-
 struct EngineConfig {
   /// Worker threads of prime()/rebase() per-source fan-outs
   /// (0 = hardware concurrency). Request handling itself runs on the
   /// caller's thread.
   std::size_t threads = 0;
-  /// Bound on memoized what-if evaluations per epoch (the epoch batch):
-  /// concurrent identical requests share one enumeration up to this many
-  /// distinct deltas; past the cap, requests compute unshared.
-  std::size_t max_batch = 256;
   /// Pin the prime()/rebase() fan-out workers to cpus (NUMA-blocked; see
   /// paths::ExecPolicy). Results are identical either way.
   bool pin_threads = false;
-  /// Scoring weights of whatif utilities.
-  scenario::UtilityWeights weights;
 };
 
 class QueryEngine {
@@ -199,10 +86,8 @@ class QueryEngine {
   void prime_restored(std::vector<scenario::SourcePathSet>&& baseline);
 
   [[nodiscard]] const std::vector<AsId>& sources() const { return sources_; }
-  /// Bumped by every rebase(); whatif memo entries never cross epochs.
+  /// Bumped by every rebase().
   [[nodiscard]] std::uint64_t epoch() const;
-  /// Aggregate metrics of the current state over the sampled sources.
-  [[nodiscard]] scenario::ScenarioMetrics state_metrics() const;
 
   /// Serves the GRC + MA path sets of `src` to `sink`. The spans are
   /// valid only during the call (they point into the engine's cache for
@@ -217,18 +102,10 @@ class QueryEngine {
   /// the current state.
   [[nodiscard]] DiversityResult diversity(AsId src) const;
 
-  /// Scores `delta` against the current state (see the header comment).
-  /// Throws util::PreconditionError for deltas the state overlay rejects.
-  [[nodiscard]] WhatIfResult whatif(const scenario::Delta& delta) const;
-
   /// Folds a committed deployment step into the served state
   /// (copy-on-rebase; see the header comment). Readers are never blocked
   /// for the duration of the recompute, only for the pointer swap.
   void rebase(const scenario::Delta& step);
-
-  /// Drops the what-if memo without changing state - lets benches and
-  /// tests measure the unshared evaluation cost.
-  void flush_whatif_memo() const;
 
   /// A pinned view of the per-source baseline contributions of the
   /// current state, in sources() order. `pin` keeps the underlying state
@@ -240,17 +117,17 @@ class QueryEngine {
   };
   [[nodiscard]] ContributionView contributions() const;
 
-  /// The epoch-batch seam the shard router plugs into: evaluates `delta`
-  /// over this engine's source sample and returns the splice inputs -
+  /// The what-if seam the shard router plugs into: evaluates `delta`
+  /// over this shard's source sample and returns the splice inputs -
   /// per-source baseline contributions, the dirty positions (local
   /// indices into sources()), their freshly recomputed contributions, and
   /// the sweep accounting - instead of a finalized score. The router
   /// concatenates the slices of all shards in canonical source order and
   /// runs the finalize/subtract/utility fold once, which is what keeps an
-  /// N-shard response byte-identical to the single-engine one (floating-
-  /// point addition is order-sensitive; partial per-shard sums would
-  /// round differently). Bypasses the engine's whatif memo - batching
-  /// happens at the router.
+  /// N-shard response byte-identical to the 1-shard one (floating-point
+  /// addition is order-sensitive; partial per-shard sums would round
+  /// differently). Throws util::PreconditionError for deltas the state
+  /// overlay rejects.
   struct WhatIfSlice {
     std::shared_ptr<const void> pin;
     std::span<const scenario::SourceContribution> baseline;
@@ -260,26 +137,13 @@ class QueryEngine {
   };
   [[nodiscard]] WhatIfSlice whatif_slice(const scenario::Delta& delta) const;
 
-  /// Parses one request line, dispatches it, and appends the
-  /// newline-terminated response to `out`: the single entry point shared
-  /// by the server workers and the client's --direct mode, which is what
-  /// makes their bytes identical. Never throws: malformed requests and
-  /// engine rejections become error responses (id 0 when the line was too
-  /// broken to carry one).
-  ///
-  /// Stage clock: when `stages` is non-null the parse/engine/serialize
-  /// durations and request identity are written into it and observation
-  /// is left to the caller (the server finishes after send); when null,
-  /// the request is finished here with no queue/send stages (--direct).
-  void handle_line(std::string_view line, std::string& out,
-                   RequestStages* stages = nullptr) const;
-
  private:
   struct State;
 
   [[nodiscard]] std::shared_ptr<const State> snapshot() const;
-  [[nodiscard]] WhatIfResult compute_whatif(
-      const State& state, const scenario::Delta& delta) const;
+  /// prime()/prime_restored(): builds the first state, lets `fill` load
+  /// its runner cache, and publishes it. A no-op once primed.
+  void install(const std::function<void(State&)>& fill);
 
   const topology::CompiledTopology* base_;
   scenario::MetricsAggregator aggregator_;
@@ -294,13 +158,6 @@ class QueryEngine {
   std::uint64_t epoch_ = 0;
   /// Serializes writers (rebase/prime); never held while readers wait.
   std::mutex rebase_mutex_;
-
-  struct MemoEntry {
-    std::uint64_t epoch = 0;
-    std::shared_future<WhatIfResult> future;
-  };
-  mutable std::mutex memo_mutex_;
-  mutable std::unordered_map<std::string, MemoEntry> memo_;
 };
 
 }  // namespace panagree::serve

@@ -16,14 +16,13 @@
 #include <utility>
 
 #include "panagree/obs/metrics.hpp"
-#include "panagree/serve/shard_router.hpp"
 
 namespace panagree::serve {
 
 namespace {
 
 // Server-level metrics: connection/queue behavior (request-level
-// accounting lives in QueryEngine::handle_line, shared with --direct).
+// accounting lives in ShardRouter::handle_line, shared with --direct).
 struct ServerMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& accepts = reg.counter("server.accepts");
@@ -131,21 +130,8 @@ struct Server::ReaderShard {
   std::vector<std::shared_ptr<Connection>> live;
 };
 
-Server::Server(const QueryEngine& engine, ServerConfig config)
-    : handler_([&engine](std::string_view line, std::string& out,
-                         RequestStages* stages) {
-        engine.handle_line(line, out, stages);
-      }),
-      config_(config) {
-  validate(config_);
-}
-
 Server::Server(ShardRouter& router, ServerConfig config)
-    : handler_([&router](std::string_view line, std::string& out,
-                         RequestStages* stages) {
-        router.handle_line(line, out, stages);
-      }),
-      config_(config) {
+    : router_(router), config_(config) {
   validate(config_);
 }
 
@@ -490,7 +476,7 @@ void Server::worker_loop() {
     std::string out;
     RequestStages stages;
     stages.enqueue_ns = item.enqueue_ns;
-    handler_(item.line, out, &stages);
+    router_.handle_line(item.line, out, &stages);
     {
       const std::lock_guard<std::mutex> write(item.conn->write_mutex);
       const std::uint64_t send_start_ns = stage_now_ns();

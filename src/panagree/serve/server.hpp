@@ -1,4 +1,4 @@
-// serve::Server - the network front end of the query engine.
+// serve::Server - the network transport of the shard router.
 //
 // One accept loop on a loopback TCP socket, a FIXED pool of reader
 // threads multiplexing all accepted connections through poll()
@@ -10,10 +10,10 @@
 // stack per connection (the old thread-per-connection readers). When the
 // queue is full a reader blocks (backpressure on the socket - stalling
 // one reader stalls its shard of connections, never unbounded memory).
-// Workers hand each line to the front end's handle_line (a bare
-// QueryEngine or a ShardRouter) and write the response back under the
-// connection's write lock - responses carry the request id, so clients
-// that pipeline match them by id rather than by stream order.
+// Workers hand each line to ShardRouter::handle_line and write the
+// response back under the connection's write lock - responses carry the
+// request id, so clients that pipeline match them by id rather than by
+// stream order.
 //
 // stop() is a graceful drain: stop accepting, shut the read half of
 // every connection, finish every request already queued, flush the
@@ -26,7 +26,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -34,11 +33,9 @@
 #include <thread>
 #include <vector>
 
-#include "panagree/serve/query_engine.hpp"
+#include "panagree/serve/shard_router.hpp"
 
 namespace panagree::serve {
-
-class ShardRouter;
 
 /// Socket-layer failure (bind, listen, accept loop setup).
 class ServeError : public std::runtime_error {
@@ -61,11 +58,8 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// `engine` must be primed and outlive the server.
-  Server(const QueryEngine& engine, ServerConfig config = {});
-  /// Sharded front end: requests dispatch through `router`, which must
-  /// have primed shards (refresh_baseline() called) and outlive the
-  /// server. This is the constructor that serves the `rebase` admin kind.
+  /// Requests dispatch through `router`, which must have primed shards
+  /// (refresh_baseline() called) and outlive the server.
   Server(ShardRouter& router, ServerConfig config = {});
   ~Server();
 
@@ -107,10 +101,7 @@ class Server {
   void worker_loop();
   void enqueue(WorkItem item);
 
-  /// The dispatch seam: QueryEngine::handle_line or
-  /// ShardRouter::handle_line, bound at construction.
-  std::function<void(std::string_view, std::string&, RequestStages*)>
-      handler_;
+  ShardRouter& router_;
   ServerConfig config_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

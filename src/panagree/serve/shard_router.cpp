@@ -1,19 +1,21 @@
 #include "panagree/serve/shard_router.hpp"
 
+#include <algorithm>
 #include <future>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/metrics.hpp"
+#include "panagree/obs/trace.hpp"
 
 namespace panagree::serve {
 
 namespace {
 
-// The router shares the engine's memo metric names: either front end's
-// epoch batch lands in the same counters, so dashboards need no sharding
-// awareness to read cache effectiveness.
+// What-if memo metrics. The engine.* names predate sharding; dashboards
+// (panagree-top) and the benchmark read them as they are.
 struct RouterMetrics {
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& memo_hits = reg.counter("engine.whatif_memo_hits");
@@ -25,6 +27,101 @@ struct RouterMetrics {
 [[nodiscard]] RouterMetrics& router_metrics() {
   static RouterMetrics metrics;
   return metrics;
+}
+
+// Per-stage latency histograms the stage clock folds every request into
+// (finish_request_observation). engine_cache/engine_sweep split the
+// engine stage by which machinery served it.
+struct StageMetrics {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Histogram& queue = reg.histogram("serve.stage_ns.queue");
+  obs::Histogram& parse = reg.histogram("serve.stage_ns.parse");
+  obs::Histogram& engine = reg.histogram("serve.stage_ns.engine");
+  obs::Histogram& engine_cache =
+      reg.histogram("serve.stage_ns.engine_cache");
+  obs::Histogram& engine_sweep =
+      reg.histogram("serve.stage_ns.engine_sweep");
+  obs::Histogram& serialize = reg.histogram("serve.stage_ns.serialize");
+  obs::Histogram& send = reg.histogram("serve.stage_ns.send");
+  obs::Histogram& wall = reg.histogram("serve.stage_ns.wall");
+};
+
+[[nodiscard]] StageMetrics& stage_metrics() {
+  static StageMetrics metrics;
+  return metrics;
+}
+
+/// Per-request-kind counter + latency histogram (serve.requests.*,
+/// serve.latency_ns.*).
+struct RequestMetricsRef {
+  obs::Counter& count;
+  obs::Histogram& latency_ns;
+};
+
+[[nodiscard]] RequestMetricsRef& request_metrics(RequestKind kind) {
+  obs::Registry& reg = obs::Registry::global();
+  static RequestMetricsRef paths{reg.counter("serve.requests.paths"),
+                                 reg.histogram("serve.latency_ns.paths")};
+  static RequestMetricsRef diversity{
+      reg.counter("serve.requests.diversity"),
+      reg.histogram("serve.latency_ns.diversity")};
+  static RequestMetricsRef whatif{reg.counter("serve.requests.whatif"),
+                                  reg.histogram("serve.latency_ns.whatif")};
+  static RequestMetricsRef stats{reg.counter("serve.requests.stats"),
+                                 reg.histogram("serve.latency_ns.stats")};
+  static RequestMetricsRef slowlog{reg.counter("serve.requests.slowlog"),
+                                   reg.histogram("serve.latency_ns.slowlog")};
+  static RequestMetricsRef rebase{reg.counter("serve.requests.rebase"),
+                                  reg.histogram("serve.latency_ns.rebase")};
+  switch (kind) {
+    case RequestKind::kPaths: return paths;
+    case RequestKind::kDiversity: return diversity;
+    case RequestKind::kWhatIf: return whatif;
+    case RequestKind::kStats: return stats;
+    case RequestKind::kSlowLog: return slowlog;
+    case RequestKind::kRebase: return rebase;
+  }
+  return paths;  // unreachable
+}
+
+[[nodiscard]] RequestMetricsRef& error_metrics() {
+  obs::Registry& reg = obs::Registry::global();
+  static RequestMetricsRef errors{reg.counter("serve.requests.errors"),
+                                  reg.histogram("serve.latency_ns.errors")};
+  return errors;
+}
+
+/// Order-insensitive key of a delta: the memo must batch "the same dirty
+/// ball" however the client listed the links. Pair direction is kept for
+/// added links (provider/customer roles) and normalized for removals
+/// (undirected, like Overlay).
+[[nodiscard]] std::string canonical_delta_key(const scenario::Delta& delta) {
+  std::vector<scenario::LinkChange> add = delta.add;
+  std::sort(add.begin(), add.end(),
+            [](const scenario::LinkChange& x, const scenario::LinkChange& y) {
+              return std::tie(x.a, x.b, x.type) < std::tie(y.a, y.b, y.type);
+            });
+  std::vector<std::pair<AsId, AsId>> remove;
+  remove.reserve(delta.remove.size());
+  for (const auto& [x, y] : delta.remove) {
+    remove.emplace_back(std::min(x, y), std::max(x, y));
+  }
+  std::sort(remove.begin(), remove.end());
+  std::string key;
+  for (const scenario::LinkChange& change : add) {
+    key += '+';
+    key += std::to_string(change.a);
+    key += ',';
+    key += std::to_string(change.b);
+    key += change.type == topology::LinkType::kPeering ? 'p' : 't';
+  }
+  for (const auto& [x, y] : remove) {
+    key += '-';
+    key += std::to_string(x);
+    key += ',';
+    key += std::to_string(y);
+  }
+  return key;
 }
 
 }  // namespace
@@ -75,9 +172,14 @@ std::uint64_t ShardRouter::epoch() const {
 
 void ShardRouter::refresh_baseline() {
   const std::unique_lock<std::shared_mutex> barrier(barrier_mutex_);
+  publish_baseline();
+  primed_ = true;
+}
+
+void ShardRouter::publish_baseline() {
   // The global baseline fold, in canonical source order (shard ranges are
-  // contiguous): the exact += sequence a single engine runs in
-  // refresh_contributions, so subtract() references identical bytes.
+  // contiguous): the same += sequence compute_whatif runs over the
+  // spliced slices, so subtract() compares like with like.
   scenario::SourceContribution total;
   for (QueryEngine* shard : shards_) {
     const QueryEngine::ContributionView view = shard->contributions();
@@ -86,7 +188,6 @@ void ShardRouter::refresh_baseline() {
     }
   }
   baseline_metrics_ = scenario::finalize(total);
-  primed_ = true;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     obs_->epochs[shard]->set(
         static_cast<std::int64_t>(shards_[shard]->epoch()));
@@ -132,8 +233,8 @@ WhatIfResult ShardRouter::compute_whatif(
   }
 
   // Splice the dirty slices into the baseline contributions in canonical
-  // source order across all shards - one global fold, identical to the
-  // single-engine splice.
+  // source order across all shards - one global fold, whatever the shard
+  // count.
   scenario::SourceContribution total;
   scenario::SweepStats stats;
   // Every shard grows the same invalidation ball over the same composed
@@ -180,9 +281,8 @@ WhatIfResult ShardRouter::whatif(const scenario::Delta& delta) const {
     return compute_whatif(delta);
   }
 
-  // Same epoch-batch memo as QueryEngine::whatif, one level up: entries
-  // are keyed by canonical delta and valid only within the epoch the
-  // barrier lock pins.
+  // The epoch batch: entries are keyed by canonical delta and valid only
+  // within the epoch the barrier lock pins.
   const std::string key = canonical_delta_key(delta);
   std::shared_future<WhatIfResult> shared;
   std::promise<WhatIfResult> promise;
@@ -232,29 +332,17 @@ std::uint64_t ShardRouter::rebase(const scenario::Delta& step) {
   for (QueryEngine* shard : shards_) {
     shard->rebase(step);
   }
-  scenario::SourceContribution total;
-  for (QueryEngine* shard : shards_) {
-    const QueryEngine::ContributionView view = shard->contributions();
-    for (const scenario::SourceContribution& contribution : view.contribs) {
-      total += contribution;
-    }
-  }
-  baseline_metrics_ = scenario::finalize(total);
+  publish_baseline();
   ++epoch_;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    obs_->epochs[shard]->set(
-        static_cast<std::int64_t>(shards_[shard]->epoch()));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    router_metrics().batch.record(memo_.size());
-    memo_.clear();
-  }
+  flush_whatif_memo();
   return epoch_;
 }
 
 void ShardRouter::flush_whatif_memo() const {
   const std::lock_guard<std::mutex> lock(memo_mutex_);
+  // The memo size at flush is the realized epoch batch: how many
+  // distinct deltas shared this state generation.
+  router_metrics().batch.record(memo_.size());
   memo_.clear();
 }
 
@@ -272,9 +360,10 @@ void ShardRouter::handle_line(std::string_view line, std::string& out,
     st.wire_id = request.id;
     st.slow_kind = static_cast<std::uint64_t>(request.kind);
     parsed = true;
-    // Count the request before handling it, exactly like
-    // QueryEngine::handle_line (the stats response includes itself).
-    detail::RequestMetricsRef& metrics = detail::request_metrics(request.kind);
+    // Count the request before handling it, so a stats response
+    // deterministically includes itself (the CI smoke asserts exact
+    // counts for a scripted session).
+    RequestMetricsRef& metrics = request_metrics(request.kind);
     metrics.count.increment();
     switch (request.kind) {
       case RequestKind::kPaths: {
@@ -282,9 +371,10 @@ void ShardRouter::handle_line(std::string_view line, std::string& out,
         st.work = source_shard_.contains(request.source)
                       ? EngineWork::kCache
                       : EngineWork::kSweep;
-        // Serialization happens inside the sink (see the engine's
-        // handle_line): measured directly, subtracted from the engine
-        // interval.
+        // Serialization happens inside the engine sink (the spans are
+        // only valid during the call), so it is measured directly and
+        // subtracted from the surrounding interval: engine + serialize
+        // covers [parse end, response done) exactly.
         std::uint64_t serialize_ns = 0;
         paths(request.source,
               [&](std::span<const diversity::Length3Path> grc,
@@ -341,6 +431,8 @@ void ShardRouter::handle_line(std::string_view line, std::string& out,
         break;
       }
       case RequestKind::kStats: {
+        // Latency recorded before the snapshot, so the histogram's count
+        // matches the counter in the response it ships.
         metrics.latency_ns.record(stage_now_ns() - st.start_ns);
         obs::refresh_process_gauges();
         const std::uint64_t current_epoch = epoch();
@@ -367,6 +459,8 @@ void ShardRouter::handle_line(std::string_view line, std::string& out,
     }
   } catch (const std::exception& e) {
     const std::uint64_t caught_ns = stage_now_ns();
+    // Attribute the time up to the failure to the stage it died in:
+    // parse failures to parse, everything later to engine.
     if (!parsed) {
       st.parse_ns = caught_ns - st.start_ns;
     } else {
@@ -376,14 +470,79 @@ void ShardRouter::handle_line(std::string_view line, std::string& out,
     st.wire_id = id;
     st.slow_kind = kSlowKindError;
     st.work = EngineWork::kNone;
-    detail::RequestMetricsRef& errors = detail::error_metrics();
+    RequestMetricsRef& errors = error_metrics();
     errors.count.increment();
     errors.latency_ns.record(caught_ns - st.start_ns);
     append_error_response(out, id, e.what());
     st.serialize_ns += stage_now_ns() - caught_ns;
   }
   if (stages == nullptr) {
+    // --direct / in-process callers: no queue or send stages, finish
+    // the observation here.
     finish_request_observation(st);
+  }
+}
+
+void finish_request_observation(const RequestStages& st) {
+  if constexpr (!obs::enabled()) {
+    return;
+  }
+  StageMetrics& metrics = stage_metrics();
+  metrics.queue.record(st.queue_ns());
+  metrics.parse.record(st.parse_ns);
+  metrics.engine.record(st.engine_ns);
+  switch (st.work) {
+    case EngineWork::kCache:
+      metrics.engine_cache.record(st.engine_ns);
+      break;
+    case EngineWork::kSweep:
+      metrics.engine_sweep.record(st.engine_ns);
+      break;
+    case EngineWork::kNone:
+      break;
+  }
+  metrics.serialize.record(st.serialize_ns);
+  metrics.send.record(st.send_ns);
+  metrics.wall.record(st.wall_ns());
+
+  obs::SlowQueryRecord record;
+  record.wire_id = st.wire_id;
+  record.kind = st.slow_kind;
+  record.source = st.source;
+  record.delta_links = st.delta_links;
+  record.wall_ns = st.wall_ns();
+  record.queue_ns = st.queue_ns();
+  record.parse_ns = st.parse_ns;
+  record.engine_ns = st.engine_ns;
+  record.serialize_ns = st.serialize_ns;
+  record.send_ns = st.send_ns;
+  obs::SlowQueryLog::global().record(record);
+
+  if (obs::trace_enabled()) {
+    // The span tree: one root per request carrying the wire id, one
+    // child per nonzero stage. Stage start offsets are the cumulative
+    // sums of the stage durations (serialize interleaves with engine
+    // inside the paths sink, so its own interval is approximated as
+    // following the engine stage; durations stay exact).
+    const std::uint64_t root_id = obs::trace_next_span_id();
+    const std::uint64_t root_start =
+        st.enqueue_ns != 0 ? st.enqueue_ns : st.start_ns;
+    std::uint64_t cursor = root_start;
+    const auto stage = [&](const char* name, std::uint64_t duration_ns) {
+      if (duration_ns != 0) {
+        obs::trace_record_span(
+            name, cursor, cursor + duration_ns,
+            obs::SpanArgs{obs::trace_next_span_id(), root_id, 0, false});
+      }
+      cursor += duration_ns;
+    };
+    stage("serve.stage.queue", st.queue_ns());
+    stage("serve.stage.parse", st.parse_ns);
+    stage("serve.stage.engine", st.engine_ns);
+    stage("serve.stage.serialize", st.serialize_ns);
+    stage("serve.stage.send", st.send_ns);
+    obs::trace_record_span("serve.request", root_start, cursor,
+                           obs::SpanArgs{root_id, 0, st.wire_id, true});
   }
 }
 

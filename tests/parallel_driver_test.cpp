@@ -26,6 +26,10 @@
 #include "panagree/topology/generator.hpp"
 #include "panagree/topology/graph.hpp"
 
+// The pre-work-stealing driver, kept as a bench baseline; tested here
+// against the serial result like map_indices itself.
+#include "../bench/map_indices_atomic.hpp"
+
 namespace panagree::paths {
 namespace {
 
@@ -204,7 +208,8 @@ TEST(MapIndices, ByteIdenticalAcrossThreadCountsOnSkewedWork) {
     const auto seeded = map_indices(kCount, threads, skewed_work, options);
     EXPECT_EQ(seeded, serial) << "cost-seeded, threads=" << threads;
 
-    const auto atomic = map_indices_atomic(kCount, threads, skewed_work);
+    const auto atomic =
+        benchcfg::map_indices_atomic(kCount, threads, skewed_work);
     EXPECT_EQ(atomic, serial) << "atomic baseline, threads=" << threads;
   }
 }

@@ -1,8 +1,9 @@
-// Serving layer tests: wire protocol parsing/serialization, QueryEngine
-// semantics (cache-served == freshly enumerated, whatif == full
-// recompute, rebase == recompiled state), and the tentpole property -
-// server responses byte-identical to direct library calls across request
-// interleavings at 1, 2, and 8 worker threads.
+// Serving layer tests: wire protocol parsing/serialization, shard
+// semantics (cache-served == freshly enumerated), the front end through a
+// 1-shard ShardRouter (whatif == full recompute, the what-if memo and its
+// bound, rebase == recompiled state, the stage clock), and the tentpole
+// property - server responses byte-identical to direct library calls
+// across request interleavings at 1, 2, and 8 worker threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "panagree/obs/trace.hpp"
 #include "panagree/serve/client.hpp"
 #include "panagree/serve/server.hpp"
+#include "panagree/serve/shard_router.hpp"
 #include "panagree/serve/wire.hpp"
 #include "panagree/topology/generator.hpp"
 #include "panagree/util/json.hpp"
@@ -236,8 +238,15 @@ TEST(Wire, StatsResponseParserRejectsGarbage) {
 
 // ----------------------------------------------------------- query engine
 
-/// Shared fixture: a small synthetic Internet, its economy, and a primed
-/// engine over a 40-source sample. Expensive, so built once.
+/// One serving stack: a primed engine shard over the whole sample behind
+/// a 1-shard router, the front end every request line goes through.
+struct Stack {
+  std::unique_ptr<QueryEngine> engine;
+  std::unique_ptr<ShardRouter> router;
+};
+
+/// Shared fixture: a small synthetic Internet, its economy, and a 40-source
+/// sample to prime engines over. Expensive, so built once.
 class ServeFixture {
  public:
   ServeFixture() {
@@ -252,12 +261,20 @@ class ServeFixture {
     aggregator_.emplace(*compiled_, &topo_.world, &*economy_);
   }
 
-  [[nodiscard]] std::unique_ptr<QueryEngine> make_engine(
-      EngineConfig config = {}) const {
-    auto engine = std::make_unique<QueryEngine>(
-        *compiled_, &topo_.world, &*economy_, sources_, config);
+  [[nodiscard]] std::unique_ptr<QueryEngine> make_engine() const {
+    auto engine = std::make_unique<QueryEngine>(*compiled_, &topo_.world,
+                                                &*economy_, sources_);
     engine->prime();
     return engine;
+  }
+
+  [[nodiscard]] Stack make_stack(RouterConfig config = {}) const {
+    Stack stack;
+    stack.engine = make_engine();
+    stack.router = std::make_unique<ShardRouter>(
+        std::vector<QueryEngine*>{stack.engine.get()}, config);
+    stack.router->refresh_baseline();
+    return stack;
   }
 
   [[nodiscard]] std::vector<scenario::Delta> candidates(
@@ -369,32 +386,100 @@ WhatIfResult full_recompute_whatif(const ServeFixture& f,
 
 TEST(QueryEngine, WhatIfMatchesFullRecompute) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
+  const ShardRouter& router = *stack.router;
   for (const scenario::Delta& delta : f.candidates(8)) {
     const WhatIfResult expected = full_recompute_whatif(f, delta);
-    EXPECT_EQ(engine->whatif(delta), expected);
+    EXPECT_EQ(router.whatif(delta), expected);
     // Memoized repeat must serve identical bytes.
-    EXPECT_EQ(engine->whatif(delta), expected);
-    engine->flush_whatif_memo();
-    EXPECT_EQ(engine->whatif(delta), expected);
+    EXPECT_EQ(router.whatif(delta), expected);
+    router.flush_whatif_memo();
+    EXPECT_EQ(router.whatif(delta), expected);
   }
 }
 
 TEST(QueryEngine, WhatIfRejectsInvalidDeltas) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
   scenario::Delta bogus;
   bogus.remove.emplace_back(
       static_cast<AsId>(f.topo_.graph.num_ases() + 1),
       static_cast<AsId>(f.topo_.graph.num_ases() + 2));
-  EXPECT_THROW((void)engine->whatif(bogus), util::PreconditionError);
+  EXPECT_THROW((void)stack.router->whatif(bogus), util::PreconditionError);
   // And again through the memo (the stored exception is shared).
-  EXPECT_THROW((void)engine->whatif(bogus), util::PreconditionError);
+  EXPECT_THROW((void)stack.router->whatif(bogus), util::PreconditionError);
+}
+
+std::string delta_line(const char* kind, std::uint64_t id,
+                       const scenario::Delta& delta) {
+  const scenario::LinkChange& link = delta.add.front();
+  return R"({"v":1,"id":)" + std::to_string(id) + R"(,"kind":")" + kind +
+         R"(","add":[{"a":)" + std::to_string(link.a) + R"(,"b":)" +
+         std::to_string(link.b) + R"(,"type":"peering"}]})";
+}
+
+/// The epoch batch's bound (RouterConfig::max_batch) decides only which
+/// evaluations are shared, never the bytes: one script - repeats within
+/// an epoch, a rebase, repeats after it - answers identically with the
+/// memo off, capped at one entry, and effectively unbounded, while the
+/// memo counters show where each request was served from.
+TEST(ShardRouter, WhatIfMemoBoundChangesSharingNotBytes) {
+  const ServeFixture& f = fixture();
+  const std::vector<scenario::Delta> deltas = f.candidates(4);
+  ASSERT_EQ(deltas.size(), 4u);
+  const scenario::Delta& a = deltas[0];
+  const scenario::Delta& b = deltas[1];
+  const std::vector<std::string> script{
+      delta_line("whatif", 1, a),         delta_line("whatif", 2, b),
+      delta_line("whatif", 3, a),         delta_line("whatif", 4, b),
+      delta_line("whatif", 5, deltas[2]), delta_line("whatif", 6, a),
+      delta_line("rebase", 7, deltas[3]), delta_line("whatif", 8, a),
+      delta_line("whatif", 9, b),         delta_line("whatif", 10, a)};
+
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter& hits = reg.counter("engine.whatif_memo_hits");
+  const obs::Counter& shared = reg.counter("engine.whatif_memo_shared");
+  const obs::Counter& unshared = reg.counter("engine.whatif_unshared");
+  struct Expected {
+    std::size_t max_batch;
+    std::uint64_t hits, shared, unshared;
+  };
+  // max_batch 1: only the first distinct delta of each epoch (a) is
+  // memoized; b and c always compute unshared. Post-rebase, a is
+  // evaluated afresh (shared, not a hit) before it hits again.
+  const Expected settings[] = {{0, 0, 0, 9}, {1, 3, 2, 4}, {256, 4, 5, 0}};
+  std::optional<std::string> reference;
+  for (const Expected& want : settings) {
+    RouterConfig config;
+    config.max_batch = want.max_batch;
+    const Stack stack = f.make_stack(config);
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t shared_before = shared.value();
+    const std::uint64_t unshared_before = unshared.value();
+    std::string out;
+    for (const std::string& line : script) {
+      stack.router->handle_line(line, out);
+    }
+    EXPECT_EQ(out.find("\"ok\":false"), std::string::npos) << out;
+    if (!reference) {
+      reference = out;
+    }
+    EXPECT_EQ(out, *reference) << "max_batch=" << want.max_batch;
+    if (obs::enabled()) {
+      EXPECT_EQ(hits.value() - hits_before, want.hits)
+          << "max_batch=" << want.max_batch;
+      EXPECT_EQ(shared.value() - shared_before, want.shared)
+          << "max_batch=" << want.max_batch;
+      EXPECT_EQ(unshared.value() - unshared_before, want.unshared)
+          << "max_batch=" << want.max_batch;
+    }
+  }
 }
 
 TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
+  ShardRouter& router = *stack.router;
   const std::vector<scenario::Delta> candidates = f.candidates(3);
   ASSERT_GE(candidates.size(), 2u);
   const scenario::Delta step = candidates[0];
@@ -411,20 +496,20 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   runner.prime(enumerate);
   runner.rebase(step, enumerate);
 
-  const std::uint64_t epoch_before = engine->epoch();
-  engine->rebase(step);
-  EXPECT_EQ(engine->epoch(), epoch_before + 1);
+  const std::uint64_t epoch_before = router.epoch();
+  EXPECT_EQ(router.rebase(step), epoch_before + 1);
+  EXPECT_EQ(router.epoch(), epoch_before + 1);
 
   // Cached paths now reflect the rebased state for every source.
   for (std::size_t i = 0; i < f.sources_.size(); ++i) {
-    engine->paths(f.sources_[i],
-                  [&](std::span<const diversity::Length3Path> grc,
-                      std::span<const diversity::Length3Path> ma) {
-                    ASSERT_TRUE(std::ranges::equal(
-                        grc, runner.baseline()[i].grc()));
-                    ASSERT_TRUE(
-                        std::ranges::equal(ma, runner.baseline()[i].ma()));
-                  });
+    router.paths(f.sources_[i],
+                 [&](std::span<const diversity::Length3Path> grc,
+                     std::span<const diversity::Length3Path> ma) {
+                   ASSERT_TRUE(std::ranges::equal(
+                       grc, runner.baseline()[i].grc()));
+                   ASSERT_TRUE(
+                       std::ranges::equal(ma, runner.baseline()[i].ma()));
+                 });
   }
 
   // And whatif scores measure against the rebased state.
@@ -440,24 +525,25 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   const scenario::MetricsDelta marginal = scenario::subtract(
       f.aggregator_->aggregate(probe_overlay, f.sources_, results),
       state_metrics);
-  const WhatIfResult served = engine->whatif(probe);
+  const WhatIfResult served = router.whatif(probe);
   EXPECT_DOUBLE_EQ(served.utility, scenario::operator_utility(marginal));
   EXPECT_EQ(served.recomputed_sources, stats.recomputed_sources);
 }
 
 TEST(QueryEngine, StatsRequestServesLiveRegistrySnapshot) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
+  ShardRouter& router = *stack.router;
 
   // Stats responses carry process-wide counters, so they are excluded
   // from byte-identity sessions - but one response must parse, describe
-  // this engine's epoch/build, and (self-counting) include the stats
+  // the router's epoch/build, and (self-counting) include the stats
   // request that produced it.
   std::string out;
-  engine->handle_line(R"({"v":1,"id":21,"kind":"stats"})", out);
+  router.handle_line(R"({"v":1,"id":21,"kind":"stats"})", out);
   const StatsResult first = parse_stats_response(out);
   EXPECT_EQ(first.id, 21u);
-  EXPECT_EQ(first.epoch, engine->epoch());
+  EXPECT_EQ(first.epoch, router.epoch());
   EXPECT_EQ(first.build, obs::build_info().git_describe);
   std::uint64_t stats_count = 0;
   for (const obs::CounterSample& counter : first.metrics.counters) {
@@ -469,7 +555,7 @@ TEST(QueryEngine, StatsRequestServesLiveRegistrySnapshot) {
 
   // A second scrape sees a strictly larger stats-request counter.
   out.clear();
-  engine->handle_line(R"({"v":1,"id":22,"kind":"stats"})", out);
+  router.handle_line(R"({"v":1,"id":22,"kind":"stats"})", out);
   const StatsResult second = parse_stats_response(out);
   std::uint64_t stats_count_again = 0;
   for (const obs::CounterSample& counter : second.metrics.counters) {
@@ -530,19 +616,19 @@ std::vector<std::string> request_script(const ServeFixture& f,
 }
 
 /// The tentpole acceptance property: responses collected over the wire
-/// are byte-identical to direct QueryEngine::handle_line calls, for
+/// are byte-identical to direct ShardRouter::handle_line calls, for
 /// every worker-thread count and whatever interleaving concurrent client
 /// connections produce.
 TEST(Server, ResponsesByteIdenticalToDirectCallsAcrossThreadCounts) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
   const std::vector<std::string> script = request_script(f, 60);
 
   std::vector<std::string> expected;
   expected.reserve(script.size());
   for (const std::string& line : script) {
     std::string out;
-    engine->handle_line(line, out);
+    stack.router->handle_line(line, out);
     expected.push_back(out);
   }
   std::vector<std::string> expected_sorted = expected;
@@ -551,7 +637,7 @@ TEST(Server, ResponsesByteIdenticalToDirectCallsAcrossThreadCounts) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
     ServerConfig config;
     config.worker_threads = workers;
-    Server server(*engine, config);
+    Server server(*stack.router, config);
     server.start();
 
     // Three concurrent closed-loop clients interleaving disjoint slices.
@@ -602,8 +688,8 @@ TEST(Server, ResponsesByteIdenticalToDirectCallsAcrossThreadCounts) {
 
 TEST(Server, StopDrainsOutstandingRequests) {
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
-  Server server(*engine, {});
+  const Stack stack = f.make_stack();
+  Server server(*stack.router, {});
   server.start();
 
   serve::ClientConnection client(server.port());
@@ -642,7 +728,8 @@ TEST(QueryEngine, HandleLineFillsStageClock) {
     GTEST_SKIP() << "stage clock compiles out under PANAGREE_OBS_OFF";
   }
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
+  ShardRouter& router = *stack.router;
   const AsId cached = f.sources_.front();
   AsId cold = 0;
   while (std::find(f.sources_.begin(), f.sources_.end(), cold) !=
@@ -654,7 +741,7 @@ TEST(QueryEngine, HandleLineFillsStageClock) {
     RequestStages stages;
     stages.enqueue_ns = stage_now_ns();
     std::string out;
-    engine->handle_line(line, out, &stages);
+    router.handle_line(line, out, &stages);
     if (stages.slow_kind == kSlowKindError) {
       ADD_FAILURE() << "request failed: " << line << " -> " << out;
     }
@@ -704,8 +791,8 @@ TEST(QueryEngine, HandleLineFillsStageClock) {
   error_stages.enqueue_ns = stage_now_ns();
   {
     std::string out;
-    engine->handle_line(R"({"v":1,"id":5,"kind":"garbage"})", out,
-                        &error_stages);
+    router.handle_line(R"({"v":1,"id":5,"kind":"garbage"})", out,
+                       &error_stages);
   }
   EXPECT_EQ(error_stages.wall_ns(),
             error_stages.queue_ns() + error_stages.parse_ns +
@@ -723,7 +810,7 @@ TEST(Server, SlowlogCapturesEveryRequestWithStageBreakdown) {
     GTEST_SKIP() << "slowlog compiles out under PANAGREE_OBS_OFF";
   }
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
   obs::SlowQueryLog& log = obs::SlowQueryLog::global();
   log.set_threshold_ns(0);  // capture everything
   log.clear();
@@ -732,7 +819,7 @@ TEST(Server, SlowlogCapturesEveryRequestWithStageBreakdown) {
   // workers, so every request's observation (recorded after its bytes
   // hit the socket) is complete before the ring is inspected.
   {
-    Server server(*engine, {});
+    Server server(*stack.router, {});
     server.start();
     serve::ClientConnection client(server.port());
     client.send_line(R"({"v":1,"id":1,"kind":"paths","source":)" +
@@ -765,7 +852,7 @@ TEST(Server, SlowlogCapturesEveryRequestWithStageBreakdown) {
   // recording happens after the response bytes are sent, a slowlog
   // response never lists its own request.
   {
-    Server server(*engine, {});
+    Server server(*stack.router, {});
     server.start();
     serve::ClientConnection client(server.port());
     client.send_line(R"({"v":1,"id":777,"kind":"slowlog"})");
@@ -800,9 +887,9 @@ TEST(Server, TraceSpansFormARequestRootedTree) {
   ASSERT_TRUE(obs::trace_enabled());
 
   const ServeFixture& f = fixture();
-  const auto engine = f.make_engine();
+  const Stack stack = f.make_stack();
   {
-    Server server(*engine, {});
+    Server server(*stack.router, {});
     server.start();
     serve::ClientConnection client(server.port());
     for (std::uint64_t id = 1; id <= 3; ++id) {

@@ -42,9 +42,11 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # fattening of the record path is caught like any other regression -
 # including the slow-query ring's worst-case eviction scan
 # (Obs_SlowlogRecord) and the whole per-request stage-clock +
-# observation cost on the cache-served fast path (Serve_StageClock).
-# The sharded-serving pair gates the 4-shard what-if fan-out + fold
-# (Serve_ShardedWhatIf - its utility_sum must keep matching
+# observation cost on the cache-served fast path through the 1-shard
+# router's handle_line (Serve_StageClock). QueryEngine_CachedSource
+# gates the bare shard's cache read under it. The sharded-serving pair
+# gates the 4-shard what-if fan-out + fold (Serve_ShardedWhatIf - its
+# utility_sum must keep matching the 1-shard router's
 # QueryEngine_WhatIfBatched, the byte-identity fingerprint) and the
 # mmap-only cold start off the primed-baseline section
 # (SnapshotLoad_PrimedBaseline).

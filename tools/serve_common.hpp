@@ -1,15 +1,15 @@
 // The one way panagree-serve and panagree-query (--direct / --bench)
 // build the serving stack, factored out so the two sides cannot drift:
 // the byte-identity contract of the serving layer ("server responses ==
-// direct library calls") only holds if both construct the engines from
+// direct library calls") only holds if both construct the shards from
 // the same topology, the same source sample (sample seed included), the
-// same economy, the same scoring weights, and the same shard partition.
+// same economy, and the same shard partition, and score through the same
+// router configuration.
 //
 // Sharding: the canonical source sample is split into `shards`
 // contiguous ranges (shard s owns sources [s*n/shards, (s+1)*n/shards)),
-// one QueryEngine per range, fronted by a serve::ShardRouter. shards=1
-// degenerates to the old single-engine layout - the router adds one
-// indirection but changes no bytes.
+// one QueryEngine per range, fronted by a serve::ShardRouter - the one
+// request front end at every shard count, 1 included.
 //
 // Cold start: prime() adopts the snapshot's primed-baseline sections
 // when the mmap'd snapshot carries them for exactly our source sample,
@@ -48,7 +48,7 @@ struct ServeContext {
         sources(diversity::sample_sources(net.graph(), sources_n,
                                           benchcfg::kSampleSeed)),
         engines(make_engines(net, economy, sources, shards, threads,
-                             max_batch, pin_threads)),
+                             pin_threads)),
         router(engine_pointers(engines), router_config(max_batch)) {}
 
   ServeContext(const ServeContext&) = delete;
@@ -79,11 +79,9 @@ struct ServeContext {
 
  private:
   static serve::EngineConfig engine_config(std::size_t threads,
-                                           std::size_t max_batch,
                                            bool pin_threads) {
     serve::EngineConfig config;
     config.threads = threads;
-    config.max_batch = max_batch;
     config.pin_threads = pin_threads;
     return config;
   }
@@ -97,7 +95,7 @@ struct ServeContext {
   static std::vector<std::unique_ptr<serve::QueryEngine>> make_engines(
       const benchcfg::Internet& net, const econ::Economy& economy,
       const std::vector<topology::AsId>& sources, std::size_t shards,
-      std::size_t threads, std::size_t max_batch, bool pin_threads) {
+      std::size_t threads, bool pin_threads) {
     util::require(shards > 0, "serve: need at least one shard");
     util::require(shards <= std::max<std::size_t>(sources.size(), 1),
                   "serve: more shards than sampled sources");
@@ -110,7 +108,7 @@ struct ServeContext {
           net.compiled(), &net.world(), &economy,
           std::vector<topology::AsId>(sources.begin() + begin,
                                       sources.begin() + end),
-          engine_config(threads, max_batch, pin_threads)));
+          engine_config(threads, pin_threads)));
     }
     return engines;
   }
