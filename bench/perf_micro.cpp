@@ -863,6 +863,40 @@ void BM_Serve_ShardedWhatIf(benchmark::State& state) {
 }
 BENCHMARK(BM_Serve_ShardedWhatIf)->Unit(benchmark::kMillisecond);
 
+// The cost of committing one deployment step to a serving fleet: a
+// 1-shard router over its own engine (the other serving benches keep
+// the base state), iterations alternating between deploying the first
+// candidate peering link and retiring it again. A rebase re-enumerates
+// and re-scores only the link's invalidation ball; re-scoring every
+// source would cost a full prime per iteration.
+void BM_ShardRouter_Rebase(benchmark::State& state) {
+  // Leaked like cached_single_router().
+  static serve::ShardRouter* router = [] {
+    auto* engine =
+        new serve::QueryEngine(cached_compiled(), &cached_topology().world,
+                               &cached_economy(), sweep_sources(), {});
+    engine->prime();
+    auto* built = new serve::ShardRouter({engine});
+    built->refresh_baseline();
+    return built;
+  }();
+  const scenario::Delta& deploy = sweep_deltas().front();
+  scenario::Delta retire;
+  for (const scenario::LinkChange& link : deploy.add) {
+    retire.remove.emplace_back(link.a, link.b);
+  }
+  bool deployed = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router->rebase(deployed ? retire : deploy));
+    deployed = !deployed;
+  }
+  if (deployed) {
+    router->rebase(retire);  // leave the base state for the next run
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardRouter_Rebase)->Unit(benchmark::kMillisecond);
+
 const std::string& primed_snapshot_fixture() {
   static const std::string path = [] {
     const std::string file = (std::filesystem::temp_directory_path() /

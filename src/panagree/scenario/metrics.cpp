@@ -53,6 +53,23 @@ double operator_utility(const MetricsDelta& delta,
          weights.per_km_regression * delta.mean_best_geodistance_km;
 }
 
+void splice_contributions(SourceContribution& total,
+                          std::span<const ScoredSource> state,
+                          std::span<const std::size_t> dirty_positions,
+                          std::span<const ScoredSource> fresh) {
+  PANAGREE_ASSERT(dirty_positions.size() == fresh.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (next < dirty_positions.size() && dirty_positions[next] == i) {
+      total += fresh[next].contribution;
+      ++next;
+    } else {
+      total += state[i].contribution;
+    }
+  }
+  PANAGREE_ASSERT(next == dirty_positions.size());
+}
+
 ScenarioMetrics finalize(const SourceContribution& total) {
   ScenarioMetrics metrics;
   metrics.grc_paths = total.grc_paths;
@@ -290,6 +307,14 @@ SourceContribution MetricsAggregator::contribution(
     const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
     out.transit_fees += path_fee(overlay, hops, 1.0);
   }
+  return out;
+}
+
+ScoredSource MetricsAggregator::score(const Overlay& overlay,
+                                      SourcePathSet&& paths) const {
+  ScoredSource out;
+  out.paths = std::move(paths);
+  out.contribution = contribution(overlay, out.paths);
   return out;
 }
 

@@ -97,9 +97,6 @@ inline constexpr std::size_t kLength3DirtyRadius = 1;
 /// The additive per-source slice of a scenario aggregate: ScenarioMetrics
 /// minus the final mean division, so contributions of individual sources
 /// can be cached, swapped, and re-summed without touching the others.
-/// This is what lets a deployment optimizer keep one evaluated candidate's
-/// dirty-source slices and re-score the candidate in O(sources) additions
-/// after the surrounding program grew elsewhere.
 struct SourceContribution {
   std::size_t grc_paths = 0;
   std::size_t ma_paths = 0;
@@ -125,6 +122,25 @@ struct SourceContribution {
   friend bool operator==(const SourceContribution&,
                          const SourceContribution&) = default;
 };
+
+/// One source's path sets and their contribution, computed together by
+/// MetricsAggregator::score - the Result of the SweepRunner caches that
+/// own per-source contributions (optimizer and serving shard states).
+struct ScoredSource {
+  SourcePathSet paths;
+  SourceContribution contribution;
+};
+
+/// The one splice of cached and fresh contributions: adds, in source
+/// order, fresh[k] at dirty_positions[k] (ascending) and state[i] at every
+/// other position into the running `total`. The fixed order keeps scores
+/// bit-identical however the fresh slices were obtained and across shards
+/// (one call per shard, in shard order): partial sums would round
+/// differently.
+void splice_contributions(SourceContribution& total,
+                          std::span<const ScoredSource> state,
+                          std::span<const std::size_t> dirty_positions = {},
+                          std::span<const ScoredSource> fresh = {});
 
 /// Aggregates of one scenario over the analyzed sources.
 struct ScenarioMetrics {
@@ -277,6 +293,19 @@ class MetricsAggregator {
     Scratch scratch;
     return contribution(overlay, result, scratch);
   }
+
+  /// The per-source function of SweepRunner<ScoredSource>:
+  /// enumerate_length3 plus contribution(). Thread-safe; each call uses
+  /// its own Scratch, whose added-facility memo must never outlive its
+  /// overlay (a stack overlay may reuse a dead one's address).
+  [[nodiscard]] ScoredSource score(const Overlay& overlay, AsId src) const {
+    return score(overlay, enumerate_length3(overlay, src));
+  }
+
+  /// Scores path sets enumerated elsewhere (a snapshot's primed
+  /// baseline), moving them into the result.
+  [[nodiscard]] ScoredSource score(const Overlay& overlay,
+                                   SourcePathSet&& paths) const;
 
   /// Geodistance of s-m-d over the overlay. Hops over overlay-added links
   /// use facilities estimated from the endpoint PoP sets (see the header

@@ -11,13 +11,9 @@ namespace panagree::scenario {
 
 namespace {
 
-SourcePathSet enumerate(const Overlay& overlay, AsId src) {
-  return enumerate_length3(overlay, src);
-}
-
 /// One candidate's cached evaluation against some program state. The
-/// dirty-source slice (positions, path sets, contributions) survives
-/// commits of steps whose contamination ball stays clear of it.
+/// dirty-source slice (positions and scored results) survives commits of
+/// steps whose contamination ball stays clear of it.
 struct CandidateEval {
   bool feasible = true;
   bool valid = false;
@@ -26,26 +22,22 @@ struct CandidateEval {
   /// Sorted source ids of the dirty positions - the other overlap probe.
   std::vector<AsId> dirty_sources;
   std::vector<std::size_t> dirty_positions;
-  std::vector<SourcePathSet> fresh;
-  std::vector<SourceContribution> fresh_contribs;
+  std::vector<ScoredSource> fresh;
 
   void drop_cache() {
     valid = false;
     dirty_sources.clear();
     dirty_positions.clear();
     fresh.clear();
-    fresh_contribs.clear();
   }
 };
 
-/// One partial program under search (greedy keeps exactly one).
+/// One partial program under search (greedy keeps exactly one). The
+/// runner's cache holds the per-source contributions of the state.
 struct SearchState {
-  explicit SearchState(SweepRunner<SourcePathSet> r)
-      : runner(std::move(r)) {}
+  explicit SearchState(SweepRunner<ScoredSource> r) : runner(std::move(r)) {}
 
-  SweepRunner<SourcePathSet> runner;
-  /// Per-source contribution of the current program state, runner order.
-  std::vector<SourceContribution> contribs;
+  SweepRunner<ScoredSource> runner;
   ScenarioMetrics metrics;
   double cumulative_utility = 0.0;
   Program program;
@@ -54,8 +46,6 @@ struct SearchState {
 };
 
 struct Scored {
-  bool feasible = false;
-  SourceContribution total;
   ScenarioMetrics metrics;
   MetricsDelta marginal;
   double marginal_utility = 0.0;
@@ -63,25 +53,6 @@ struct Scored {
 
 [[nodiscard]] bool sorted_contains(const std::vector<AsId>& sorted, AsId x) {
   return std::binary_search(sorted.begin(), sorted.end(), x);
-}
-
-/// Sum of the state's per-source contributions with the candidate's
-/// dirty-source slices spliced in - fixed (source-order) association, so
-/// scores are bit-identical however the slices were obtained.
-[[nodiscard]] SourceContribution fold_total(const SearchState& state,
-                                            const CandidateEval& eval) {
-  SourceContribution total;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < state.contribs.size(); ++i) {
-    if (next < eval.dirty_positions.size() &&
-        eval.dirty_positions[next] == i) {
-      total += eval.fresh_contribs[next];
-      ++next;
-    } else {
-      total += state.contribs[i];
-    }
-  }
-  return total;
 }
 
 /// The committed step's contamination balls, BFS'd over the *union* of
@@ -178,9 +149,9 @@ struct ContaminationBalls {
 /// precondition failures elsewhere (a malformed candidate aside, there
 /// should be none) still propagate instead of being reclassified as
 /// infeasibility.
+template <typename ScoreFn>
 SweepStats evaluate_candidate(const SearchState& state, const Delta& delta,
-                              CandidateEval& eval,
-                              const MetricsAggregator& aggregator) {
+                              CandidateEval& eval, const ScoreFn& score) {
   SweepStats sweep_stats;
   eval.drop_cache();
   try {
@@ -194,14 +165,10 @@ SweepStats evaluate_candidate(const SearchState& state, const Delta& delta,
     eval.feasible = false;
     return sweep_stats;
   }
-  MetricsAggregator::Scratch scratch;
   state.runner.evaluate_dirty_visit(
-      delta, enumerate,
-      [&](std::size_t position, const Overlay& overlay,
-          SourcePathSet result) {
+      delta, score,
+      [&](std::size_t position, const Overlay&, ScoredSource result) {
         eval.dirty_positions.push_back(position);
-        eval.fresh_contribs.push_back(
-            aggregator.contribution(overlay, result, scratch));
         eval.fresh.push_back(std::move(result));
       },
       &sweep_stats);
@@ -220,9 +187,10 @@ SweepStats evaluate_candidate(const SearchState& state, const Delta& delta,
                                      const CandidateEval& eval,
                                      const UtilityWeights& weights) {
   Scored scored;
-  scored.feasible = true;
-  scored.total = fold_total(state, eval);
-  scored.metrics = finalize(scored.total);
+  SourceContribution total;
+  splice_contributions(total, state.runner.baseline(), eval.dirty_positions,
+                       eval.fresh);
+  scored.metrics = finalize(total);
   scored.marginal = subtract(scored.metrics, state.metrics);
   scored.marginal_utility = operator_utility(scored.marginal, weights);
   return scored;
@@ -246,16 +214,14 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
   OptimizerStats stats;
   stats.primed_sources = sources_.size();
 
+  const auto score = [this](const Overlay& overlay, AsId src) {
+    return aggregator_->score(overlay, src);
+  };
   SearchState root(
-      SweepRunner<SourcePathSet>(*base_, sources_, config_.sweep));
-  root.runner.prime(enumerate);
-  const Overlay base_view(*base_);
-  root.contribs.reserve(sources_.size());
+      SweepRunner<ScoredSource>(*base_, sources_, config_.sweep));
+  root.runner.prime(score);
   SourceContribution base_total;
-  for (const SourcePathSet& sets : root.runner.baseline()) {
-    root.contribs.push_back(aggregator_->contribution(base_view, sets));
-    base_total += root.contribs.back();
-  }
+  splice_contributions(base_total, root.runner.baseline());
   root.metrics = finalize(base_total);
   root.evals.resize(candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
@@ -292,7 +258,7 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
           [&](std::size_t k) {
             const std::size_t c = pending[k];
             return evaluate_candidate(state, candidates[c], state.evals[c],
-                                      *aggregator_);
+                                      score);
           },
           /*min_parallel=*/2);
       for (const SweepStats& sweep_stats : eval_stats) {
@@ -355,16 +321,12 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
 
       // The winner's just-scored slice is exactly what a rebase would
       // recompute (same seeds, radius, and composed overlay): commit by
-      // adopting it - path sets into the runner's cache, contributions
-      // into the state's - instead of enumerating the ball a second
-      // time.
+      // adopting its scored sources into the runner's cache instead of
+      // enumerating the ball a second time.
       CandidateEval& winner = child.evals[proposal.candidate];
       child.runner.rebase_adopted(delta, winner.dirty_positions,
                                   std::move(winner.fresh));
       child.program.push(delta);
-      for (std::size_t k = 0; k < winner.dirty_positions.size(); ++k) {
-        child.contribs[winner.dirty_positions[k]] = winner.fresh_contribs[k];
-      }
       child.metrics = proposal.scored.metrics;
       child.cumulative_utility = proposal.cumulative_utility;
 

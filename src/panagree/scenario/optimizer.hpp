@@ -23,10 +23,10 @@
 //     links), so sharing never changes results - property-tested against
 //     full recompiles in scenario_program_test.
 //
-// Scoring never re-aggregates path sets it has already seen: per-source
-// results fold into additive SourceContribution slices, so re-scoring a
-// cached candidate after the program grew elsewhere is O(sources)
-// additions, not an enumeration.
+// Scoring never re-aggregates path sets it has already seen: the runners
+// cache each source's path sets with their additive SourceContribution
+// (MetricsAggregator::score), so re-scoring a cached candidate after the
+// program grew elsewhere is O(sources) additions, not an enumeration.
 #pragma once
 
 #include <cstddef>

@@ -22,32 +22,18 @@ struct EngineMetrics {
   return metrics;
 }
 
-scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
-                                  AsId src) {
-  return scenario::enumerate_length3(overlay, src);
-}
-
+/// One source's aggregate: the scenario finalize() of its contribution.
 [[nodiscard]] DiversityResult to_diversity_result(
     const scenario::SourceContribution& contribution) {
-  DiversityResult result;
-  result.grc_paths = contribution.grc_paths;
-  result.ma_paths = contribution.ma_paths;
-  result.grc_pairs = contribution.grc_pairs;
-  result.ma_extra_pairs = contribution.ma_extra_pairs;
-  result.mean_best_geodistance_km =
-      contribution.km_pairs > 0
-          ? contribution.km_sum /
-                static_cast<double>(contribution.km_pairs)
-          : 0.0;
-  result.transit_fees = contribution.transit_fees;
-  return result;
+  const scenario::ScenarioMetrics m = scenario::finalize(contribution);
+  return {m.grc_paths, m.ma_paths, m.grc_pairs, m.ma_extra_pairs,
+          m.mean_best_geodistance_km, m.transit_fees};
 }
 
 }  // namespace
 
-/// The immutable unit the shared_mutex guards: one primed runner cache,
-/// the overlay of its composed state, and the additive per-source
-/// contributions the router splices what-if scores from. rebase() copies,
+/// The immutable unit the shared_mutex guards: one primed runner cache of
+/// scored sources and the overlay of its composed state. rebase() copies,
 /// mutates the copy, and swaps - readers keep old snapshots alive through
 /// the shared_ptr.
 struct QueryEngine::State {
@@ -55,21 +41,8 @@ struct QueryEngine::State {
         scenario::SweepConfig config)
       : runner(base, std::move(sources), config), overlay(base) {}
 
-  scenario::SweepRunner<scenario::SourcePathSet> runner;
+  scenario::SweepRunner<scenario::ScoredSource> runner;
   scenario::Overlay overlay;
-  std::vector<scenario::SourceContribution> contribs;
-
-  /// Recomputes contribs from the runner's cache (after prime or
-  /// rebase). Pure folds over already-enumerated path sets.
-  void refresh_contributions(const scenario::MetricsAggregator& aggregator) {
-    const std::vector<scenario::SourcePathSet>& cache = runner.baseline();
-    contribs.clear();
-    contribs.reserve(cache.size());
-    scenario::MetricsAggregator::Scratch scratch;
-    for (const scenario::SourcePathSet& sets : cache) {
-      contribs.push_back(aggregator.contribution(overlay, sets, scratch));
-    }
-  }
 };
 
 QueryEngine::QueryEngine(const topology::CompiledTopology& base,
@@ -91,13 +64,21 @@ QueryEngine::QueryEngine(const topology::CompiledTopology& base,
 QueryEngine::~QueryEngine() = default;
 
 void QueryEngine::prime() {
-  install([](State& state) { state.runner.prime(enumerate); });
+  install([this](State& state) { state.runner.prime(scorer()); });
 }
 
 void QueryEngine::prime_restored(
     std::vector<scenario::SourcePathSet>&& baseline) {
-  install([&baseline](State& state) {
-    state.runner.restore_baseline(std::move(baseline));
+  install([this, &baseline](State& state) {
+    // state.overlay is still the base snapshot the sets were primed on.
+    paths::MapOptions options;
+    options.exec.pin_threads = config_.pin_threads;
+    state.runner.restore_baseline(paths::map_indices(
+        baseline.size(), config_.threads,
+        [&](std::size_t i) {
+          return aggregator_.score(state.overlay, std::move(baseline[i]));
+        },
+        options));
   });
 }
 
@@ -115,7 +96,6 @@ void QueryEngine::install(const std::function<void(State&)>& fill) {
   sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
   fill(*state);
-  state->refresh_contributions(aggregator_);
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(state);
 }
@@ -136,13 +116,15 @@ void QueryEngine::paths(AsId src, const PathsSink& sink) const {
   const auto it = source_index_.find(src);
   if (it != source_index_.end()) {
     engine_metrics().paths_cache_hits.increment();
-    const scenario::SourcePathSet& sets = state->runner.baseline()[it->second];
+    const scenario::SourcePathSet& sets =
+        state->runner.baseline()[it->second].paths;
     sink(sets.grc(), sets.ma());
     return;
   }
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
   engine_metrics().paths_cold.increment();
-  const scenario::SourcePathSet sets = enumerate(state->overlay, src);
+  const scenario::SourcePathSet sets =
+      scenario::enumerate_length3(state->overlay, src);
   sink(sets.grc(), sets.ma());
 }
 
@@ -151,18 +133,19 @@ DiversityResult QueryEngine::diversity(AsId src) const {
   const auto it = source_index_.find(src);
   if (it != source_index_.end()) {
     engine_metrics().paths_cache_hits.increment();
-    return to_diversity_result(state->contribs[it->second]);
+    return to_diversity_result(
+        state->runner.baseline()[it->second].contribution);
   }
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
   engine_metrics().paths_cold.increment();
-  const scenario::SourcePathSet sets = enumerate(state->overlay, src);
-  return to_diversity_result(aggregator_.contribution(state->overlay, sets));
+  return to_diversity_result(
+      aggregator_.score(state->overlay, src).contribution);
 }
 
 QueryEngine::ContributionView QueryEngine::contributions() const {
   const std::shared_ptr<const State> state = snapshot();
   ContributionView view;
-  view.contribs = state->contribs;
+  view.sources = state->runner.baseline();
   view.pin = std::move(state);
   return view;
 }
@@ -171,17 +154,17 @@ QueryEngine::WhatIfSlice QueryEngine::whatif_slice(
     const scenario::Delta& delta) const {
   const std::shared_ptr<const State> state = snapshot();
   WhatIfSlice slice;
-  scenario::MetricsAggregator::Scratch scratch;
   state->runner.evaluate_dirty_visit(
-      delta, enumerate,
-      [&](std::size_t i, const scenario::Overlay& overlay,
-          const scenario::SourcePathSet& result) {
+      delta, scorer(),
+      [&](std::size_t i, const scenario::Overlay&,
+          const scenario::ScoredSource& result) {
+        // Only the contribution is folded: dropping each dirty path set
+        // here keeps one alive per shard instead of the whole ball's.
         slice.dirty_positions.push_back(i);
-        slice.fresh.push_back(
-            aggregator_.contribution(overlay, result, scratch));
+        slice.fresh.push_back({{}, result.contribution});
       },
       &slice.stats);
-  slice.baseline = state->contribs;
+  slice.baseline = state->runner.baseline();
   slice.pin = std::move(state);
   return slice;
 }
@@ -190,12 +173,12 @@ void QueryEngine::rebase(const scenario::Delta& step) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   const std::shared_ptr<const State> current = snapshot();
   // Copy-on-rebase: the expensive work happens on a private clone while
-  // readers keep serving the old snapshot.
+  // readers keep serving the old snapshot. Only the step's invalidation
+  // ball is re-scored: a source outside it keeps paths and contribution.
   auto next = std::make_shared<State>(*current);
-  next->runner.rebase(step, enumerate);
+  next->runner.rebase(step, scorer());
   next->overlay.clear();
   next->overlay.apply(next->runner.state());
-  next->refresh_contributions(aggregator_);
   {
     const std::unique_lock<std::shared_mutex> lock(state_mutex_);
     state_ = std::move(next);

@@ -12,20 +12,21 @@
 //                    aggregate (scenario::SourceContribution, finalized).
 //   * whatif_slice - the per-source inputs of a what-if score: only the
 //                    sources inside the delta's invalidation ball are
-//                    re-enumerated (the SweepRunner machinery), never a
-//                    full recompute.
+//                    re-enumerated and re-scored (the SweepRunner
+//                    machinery), never a full recompute.
 //
 // Requests reach shards only through serve::ShardRouter, the one wire
 // front end: it parses request lines, memoizes what-ifs per epoch,
 // splices the shards' slices in canonical source order, and scores the
 // fold once.
 //
-// Concurrency model: read-mostly. The shard state (runner cache, overlay,
-// per-source contributions) lives behind a std::shared_mutex as an
-// immutable shared_ptr snapshot; readers take the shared lock only long
-// enough to copy the pointer and then work lock-free on their snapshot.
-// rebase() (committing a deployment program step) is copy-on-rebase: it
-// clones the state, folds the step into the clone's cache (recomputing
+// Concurrency model: read-mostly. The shard state (a runner cache of
+// scenario::ScoredSource - paths plus contribution - and the overlay)
+// lives behind a std::shared_mutex as an immutable shared_ptr snapshot;
+// readers take the shared lock only long enough to copy the pointer and
+// then work lock-free on their snapshot. rebase() (committing a
+// deployment program step) is copy-on-rebase: it clones the state, folds
+// the step into the clone's cache (re-enumerating and re-scoring
 // only the step's invalidation ball), and swaps the pointer under the
 // exclusive lock - in-flight readers keep their old snapshot alive, so
 // readers never block on a rebase.
@@ -72,17 +73,17 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Enumerates and caches the baseline of every sampled source and its
-  /// per-source contribution (the expensive one-time cost). Idempotent.
+  /// Enumerates and scores the baseline of every sampled source in one
+  /// parallel pass (the expensive one-time cost). Idempotent.
   void prime();
 
   /// Primes from an externally restored baseline instead of enumerating:
   /// `baseline` must hold, in sources() order, exactly what prime()'s
   /// enumeration would produce (e.g. deserialized from a snapshot's
-  /// primed-baseline sections). The contribution folds still run (cheap);
-  /// the per-source path enumeration - the expensive part - is skipped
-  /// entirely and no sweep.prime metrics are recorded. Idempotent like
-  /// prime(): a no-op on an already-primed engine.
+  /// primed-baseline sections). The sets are moved into the cache and
+  /// only scored; no path is enumerated and no sweep.prime metrics are
+  /// recorded. Idempotent like prime(): a no-op on an already-primed
+  /// engine.
   void prime_restored(std::vector<scenario::SourcePathSet>&& baseline);
 
   [[nodiscard]] const std::vector<AsId>& sources() const { return sources_; }
@@ -107,32 +108,31 @@ class QueryEngine {
   /// for the duration of the recompute, only for the pointer swap.
   void rebase(const scenario::Delta& step);
 
-  /// A pinned view of the per-source baseline contributions of the
-  /// current state, in sources() order. `pin` keeps the underlying state
-  /// generation alive for as long as the view is held - the shard
-  /// router's fold across shards reads these spans lock-free.
+  /// A pinned view of the scored sources of the current state, in
+  /// sources() order. `pin` keeps the underlying state generation alive
+  /// for as long as the view is held - the shard router's fold across
+  /// shards reads these spans lock-free.
   struct ContributionView {
     std::shared_ptr<const void> pin;
-    std::span<const scenario::SourceContribution> contribs;
+    std::span<const scenario::ScoredSource> sources;
   };
   [[nodiscard]] ContributionView contributions() const;
 
   /// The what-if seam the shard router plugs into: evaluates `delta`
-  /// over this shard's source sample and returns the splice inputs -
-  /// per-source baseline contributions, the dirty positions (local
-  /// indices into sources()), their freshly recomputed contributions, and
-  /// the sweep accounting - instead of a finalized score. The router
-  /// concatenates the slices of all shards in canonical source order and
-  /// runs the finalize/subtract/utility fold once, which is what keeps an
-  /// N-shard response byte-identical to the 1-shard one (floating-point
-  /// addition is order-sensitive; partial per-shard sums would round
-  /// differently). Throws util::PreconditionError for deltas the state
-  /// overlay rejects.
+  /// over this shard's source sample and returns the inputs of
+  /// scenario::splice_contributions - the state's scored sources, the
+  /// dirty positions (local indices into sources()), their fresh
+  /// contributions (path sets not kept), and the sweep accounting -
+  /// instead of a finalized score. The router splices the slices of all
+  /// shards in canonical source order and runs the finalize/subtract/
+  /// utility fold once, which is what keeps an N-shard response
+  /// byte-identical to the 1-shard one. Throws util::PreconditionError
+  /// for deltas the state overlay rejects.
   struct WhatIfSlice {
     std::shared_ptr<const void> pin;
-    std::span<const scenario::SourceContribution> baseline;
+    std::span<const scenario::ScoredSource> baseline;
     std::vector<std::size_t> dirty_positions;
-    std::vector<scenario::SourceContribution> fresh;
+    std::vector<scenario::ScoredSource> fresh;
     scenario::SweepStats stats;
   };
   [[nodiscard]] WhatIfSlice whatif_slice(const scenario::Delta& delta) const;
@@ -144,6 +144,12 @@ class QueryEngine {
   /// prime()/prime_restored(): builds the first state, lets `fill` load
   /// its runner cache, and publishes it. A no-op once primed.
   void install(const std::function<void(State&)>& fill);
+  /// The runner's per-source function: MetricsAggregator::score.
+  [[nodiscard]] auto scorer() const {
+    return [this](const scenario::Overlay& overlay, AsId src) {
+      return aggregator_.score(overlay, src);
+    };
+  }
 
   const topology::CompiledTopology* base_;
   scenario::MetricsAggregator aggregator_;

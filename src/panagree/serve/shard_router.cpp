@@ -177,15 +177,13 @@ void ShardRouter::refresh_baseline() {
 }
 
 void ShardRouter::publish_baseline() {
-  // The global baseline fold, in canonical source order (shard ranges are
-  // contiguous): the same += sequence compute_whatif runs over the
-  // spliced slices, so subtract() compares like with like.
+  // The global baseline fold: the shards' cached contributions spliced
+  // shard by shard in canonical source order (shard ranges are
+  // contiguous) - the same += sequence compute_whatif runs with dirty
+  // slices spliced in, so subtract() compares like with like.
   scenario::SourceContribution total;
   for (QueryEngine* shard : shards_) {
-    const QueryEngine::ContributionView view = shard->contributions();
-    for (const scenario::SourceContribution& contribution : view.contribs) {
-      total += contribution;
-    }
+    scenario::splice_contributions(total, shard->contributions().sources);
   }
   baseline_metrics_ = scenario::finalize(total);
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -243,16 +241,8 @@ WhatIfResult ShardRouter::compute_whatif(
   for (const QueryEngine::WhatIfSlice& slice : slices) {
     stats.recomputed_sources += slice.stats.recomputed_sources;
     stats.cached_sources += slice.stats.cached_sources;
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < slice.baseline.size(); ++i) {
-      if (next < slice.dirty_positions.size() &&
-          slice.dirty_positions[next] == i) {
-        total += slice.fresh[next];
-        ++next;
-      } else {
-        total += slice.baseline[i];
-      }
-    }
+    scenario::splice_contributions(total, slice.baseline,
+                                   slice.dirty_positions, slice.fresh);
   }
   const scenario::ScenarioMetrics metrics = scenario::finalize(total);
   const scenario::MetricsDelta marginal =

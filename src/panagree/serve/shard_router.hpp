@@ -10,7 +10,8 @@
 // across all shards: each shard evaluates the delta over its own source
 // range through QueryEngine::whatif_slice, and the router splices the
 // per-source SourceContribution slices back together in canonical source
-// order before running the finalize/subtract/utility fold once. The
+// order (scenario::splice_contributions, shard by shard) before running
+// the finalize/subtract/utility fold once. The
 // in-order fold is what makes an N-shard response byte-identical to the
 // 1-shard one - floating-point addition is order-sensitive, so per-shard
 // partial sums would round differently.
@@ -188,8 +189,8 @@ class ShardRouter {
 
   [[nodiscard]] WhatIfResult compute_whatif(
       const scenario::Delta& delta) const;
-  /// Re-folds the global baseline from the shards' current states and
-  /// republishes the per-shard epoch gauges (barrier held exclusively).
+  /// Re-folds the global baseline from the shards' cached contributions
+  /// and republishes the per-shard epoch gauges (barrier held exclusively).
   void publish_baseline();
   /// paths/diversity routing: the owning shard of a sampled source,
   /// shard 0 for cold sources.

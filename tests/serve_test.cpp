@@ -238,10 +238,11 @@ TEST(Wire, StatsResponseParserRejectsGarbage) {
 
 // ----------------------------------------------------------- query engine
 
-/// One serving stack: a primed engine shard over the whole sample behind
-/// a 1-shard router, the front end every request line goes through.
+/// One serving stack: primed engine shards over contiguous ranges of the
+/// sample (one shard unless asked for more) behind the router, the front
+/// end every request line goes through.
 struct Stack {
-  std::unique_ptr<QueryEngine> engine;
+  std::vector<std::unique_ptr<QueryEngine>> engines;
   std::unique_ptr<ShardRouter> router;
 };
 
@@ -268,11 +269,21 @@ class ServeFixture {
     return engine;
   }
 
-  [[nodiscard]] Stack make_stack(RouterConfig config = {}) const {
+  [[nodiscard]] Stack make_stack(RouterConfig config = {},
+                                 std::size_t shards = 1) const {
     Stack stack;
-    stack.engine = make_engine();
-    stack.router = std::make_unique<ShardRouter>(
-        std::vector<QueryEngine*>{stack.engine.get()}, config);
+    const std::size_t n = sources_.size();
+    std::vector<QueryEngine*> pointers;
+    for (std::size_t s = 0; s < shards; ++s) {
+      stack.engines.push_back(std::make_unique<QueryEngine>(
+          *compiled_, &topo_.world, &*economy_,
+          std::vector<AsId>(sources_.begin() + s * n / shards,
+                            sources_.begin() + (s + 1) * n / shards)));
+      stack.engines.back()->prime();
+      pointers.push_back(stack.engines.back().get());
+    }
+    stack.router =
+        std::make_unique<ShardRouter>(std::move(pointers), config);
     stack.router->refresh_baseline();
     return stack;
   }
@@ -478,56 +489,82 @@ TEST(ShardRouter, WhatIfMemoBoundChangesSharingNotBytes) {
 
 TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   const ServeFixture& f = fixture();
-  const Stack stack = f.make_stack();
-  ShardRouter& router = *stack.router;
   const std::vector<scenario::Delta> candidates = f.candidates(3);
-  ASSERT_GE(candidates.size(), 2u);
-  const scenario::Delta step = candidates[0];
-  const scenario::Delta probe = candidates[1];
-
-  // Expected post-rebase state: a fresh runner rebased the library way.
-  scenario::SweepConfig config;
-  config.dirty_radius = scenario::kLength3DirtyRadius;
-  scenario::SweepRunner<scenario::SourcePathSet> runner(*f.compiled_,
-                                                        f.sources_, config);
+  ASSERT_GE(candidates.size(), 3u);
+  // A two-step program, then a what-if probe against the grown state.
+  const std::vector<scenario::Delta> steps{candidates[0], candidates[1]};
+  const scenario::Delta probe = candidates[2];
   const auto enumerate = [](const scenario::Overlay& overlay, AsId src) {
     return scenario::enumerate_length3(overlay, src);
   };
-  runner.prime(enumerate);
-  runner.rebase(step, enumerate);
 
-  const std::uint64_t epoch_before = router.epoch();
-  EXPECT_EQ(router.rebase(step), epoch_before + 1);
-  EXPECT_EQ(router.epoch(), epoch_before + 1);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const Stack stack = f.make_stack({}, shards);
+    ShardRouter& router = *stack.router;
 
-  // Cached paths now reflect the rebased state for every source.
-  for (std::size_t i = 0; i < f.sources_.size(); ++i) {
-    router.paths(f.sources_[i],
-                 [&](std::span<const diversity::Length3Path> grc,
-                     std::span<const diversity::Length3Path> ma) {
-                   ASSERT_TRUE(std::ranges::equal(
-                       grc, runner.baseline()[i].grc()));
-                   ASSERT_TRUE(
-                       std::ranges::equal(ma, runner.baseline()[i].ma()));
-                 });
+    // Expected state: a fresh runner rebased the library way.
+    scenario::SweepConfig config;
+    config.dirty_radius = scenario::kLength3DirtyRadius;
+    scenario::SweepRunner<scenario::SourcePathSet> runner(*f.compiled_,
+                                                          f.sources_, config);
+    runner.prime(enumerate);
+
+    for (const scenario::Delta& step : steps) {
+      runner.rebase(step, enumerate);
+      const std::uint64_t epoch_before = router.epoch();
+      EXPECT_EQ(router.rebase(step), epoch_before + 1);
+      EXPECT_EQ(router.epoch(), epoch_before + 1);
+
+      // Cached paths and diversity now reflect the rebased state for
+      // every source. A rebase re-scores only the step's invalidation
+      // ball, so a clean source whose cached contribution went stale
+      // would show up in diversity, not in paths.
+      scenario::Overlay state_overlay(*f.compiled_);
+      state_overlay.apply(runner.state());
+      for (std::size_t i = 0; i < f.sources_.size(); ++i) {
+        const AsId src = f.sources_[i];
+        router.paths(src, [&](std::span<const diversity::Length3Path> grc,
+                              std::span<const diversity::Length3Path> ma) {
+          ASSERT_TRUE(std::ranges::equal(grc, runner.baseline()[i].grc()));
+          ASSERT_TRUE(std::ranges::equal(ma, runner.baseline()[i].ma()));
+        });
+        const scenario::SourceContribution expected =
+            f.aggregator_->contribution(state_overlay, runner.baseline()[i]);
+        const DiversityResult served = router.diversity(src);
+        EXPECT_EQ(served.grc_paths, expected.grc_paths) << "source " << src;
+        EXPECT_EQ(served.ma_paths, expected.ma_paths) << "source " << src;
+        EXPECT_EQ(served.grc_pairs, expected.grc_pairs) << "source " << src;
+        EXPECT_EQ(served.ma_extra_pairs, expected.ma_extra_pairs)
+            << "source " << src;
+        EXPECT_EQ(served.mean_best_geodistance_km,
+                  expected.km_pairs > 0
+                      ? expected.km_sum /
+                            static_cast<double>(expected.km_pairs)
+                      : 0.0)
+            << "source " << src;
+        EXPECT_EQ(served.transit_fees, expected.transit_fees)
+            << "source " << src;
+      }
+    }
+
+    // And whatif scores measure against the rebased state.
+    scenario::Overlay state_overlay(*f.compiled_);
+    state_overlay.apply(runner.state());
+    const scenario::ScenarioMetrics state_metrics = f.aggregator_->aggregate(
+        state_overlay, f.sources_, runner.baseline());
+    scenario::SweepStats stats;
+    scenario::Overlay probe_overlay(*f.compiled_);
+    probe_overlay.apply(scenario::compose(runner.state(), probe));
+    const std::vector<const scenario::SourcePathSet*> results =
+        runner.evaluate_refs(probe, enumerate, &stats);
+    const scenario::MetricsDelta marginal = scenario::subtract(
+        f.aggregator_->aggregate(probe_overlay, f.sources_, results),
+        state_metrics);
+    const WhatIfResult served = router.whatif(probe);
+    EXPECT_DOUBLE_EQ(served.utility, scenario::operator_utility(marginal));
+    EXPECT_EQ(served.recomputed_sources, stats.recomputed_sources);
   }
-
-  // And whatif scores measure against the rebased state.
-  scenario::Overlay state_overlay(*f.compiled_);
-  state_overlay.apply(runner.state());
-  const scenario::ScenarioMetrics state_metrics = f.aggregator_->aggregate(
-      state_overlay, f.sources_, runner.baseline());
-  scenario::SweepStats stats;
-  scenario::Overlay probe_overlay(*f.compiled_);
-  probe_overlay.apply(scenario::compose(runner.state(), probe));
-  const std::vector<const scenario::SourcePathSet*> results =
-      runner.evaluate_refs(probe, enumerate, &stats);
-  const scenario::MetricsDelta marginal = scenario::subtract(
-      f.aggregator_->aggregate(probe_overlay, f.sources_, results),
-      state_metrics);
-  const WhatIfResult served = router.whatif(probe);
-  EXPECT_DOUBLE_EQ(served.utility, scenario::operator_utility(marginal));
-  EXPECT_EQ(served.recomputed_sources, stats.recomputed_sources);
 }
 
 TEST(QueryEngine, StatsRequestServesLiveRegistrySnapshot) {

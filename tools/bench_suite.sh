@@ -49,12 +49,14 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # utility_sum must keep matching the 1-shard router's
 # QueryEngine_WhatIfBatched, the byte-identity fingerprint) and the
 # mmap-only cold start off the primed-baseline section
-# (SnapshotLoad_PrimedBaseline).
+# (SnapshotLoad_PrimedBaseline). ShardRouter_Rebase gates committing one
+# step to a serving fleet, which must re-score only the step's
+# invalidation ball, never every source.
 # Default --benchmark_min_time stays: the rotating-source micro benches
 # need enough iterations to average the heavy-tailed per-source costs,
 # or run-to-run noise defeats the 30% regression gate.
 "$BUILD/bench_perf_micro" \
-  --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|SnapshotLoad_PrimedBaseline|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|Serve_ShardedWhatIf|Convergence)'
+  --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|SnapshotLoad_PrimedBaseline|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|Serve_ShardedWhatIf|ShardRouter_Rebase|Convergence)'
 
 echo "bench suite results in $OUT:"
 ls -l "$OUT"

@@ -71,7 +71,7 @@ struct Options {
   std::uint64_t seed = 4242;
   bool optimize = false;
   bool beam_mode = false;       // --optimize beam
-  std::size_t beam_width = 0;   // explicit --beam W, 0 = unset
+  std::size_t beam_width = 0;   // explicit --beam W >= 1, 0 = unset
   std::size_t max_steps = 4;
   bool share = true;
   std::size_t failures = 0;     // --failures K (0 = steady-state modes)
@@ -102,12 +102,24 @@ void usage() {
                " [--pin-threads]\n";
 }
 
+constexpr const char* kTool = "panagree-sweep";
+
+/// A non-negative integer option value (argv[i] is the flag); malformed or
+/// missing values exit kUsageExit through the shared cli helpers.
+std::size_t size_option(const std::string& flag, int argc, char** argv,
+                        int& i) {
+  return cli::parse_size(kTool, flag,
+                         cli::require_value(kTool, flag, argc, argv, i));
+}
+
+/// False on a usage error; option values that do not parse exit
+/// kUsageExit directly.
 bool parse_args(int argc, char** argv, Options& options) {
   std::size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
-      cli::print_version("panagree-sweep");
+      cli::print_version(kTool);
     } else if (arg == "--optimize") {
       if (i + 1 >= argc) {
         return false;
@@ -123,49 +135,40 @@ bool parse_args(int argc, char** argv, Options& options) {
         return false;
       }
     } else if (arg == "--steps") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.max_steps = std::stoul(argv[++i]);
+      options.max_steps = size_option(arg, argc, argv, i);
     } else if (arg == "--beam") {
-      if (i + 1 >= argc) {
+      options.beam_width = size_option(arg, argc, argv, i);
+      if (options.beam_width == 0) {
         return false;
       }
-      options.beam_width = std::stoul(argv[++i]);
     } else if (arg == "--failures") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.failures = std::stoul(argv[++i]);
+      options.failures = size_option(arg, argc, argv, i);
       if (options.failures == 0) {
         return false;
       }
     } else if (arg == "--fail-ases") {
       options.fail_ases = true;
     } else if (arg == "--samples") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.samples = std::stoul(argv[++i]);
+      options.samples = size_option(arg, argc, argv, i);
     } else if (arg == "--snapshot") {
       if (i + 1 >= argc) {
         return false;
       }
       options.snapshot = argv[++i];
     } else if (arg == "--threads") {
-      options.threads = cli::parse_threads("panagree-sweep", argc, argv, i);
+      options.threads = cli::parse_threads(kTool, argc, argv, i);
     } else if (arg == "--pin-threads") {
       options.pin_threads = true;
     } else if (arg == "--no-share") {
       options.share = false;
     } else if (positional == 0) {
-      options.num_scenarios = std::stoul(arg);
+      options.num_scenarios = cli::parse_size(kTool, "scenarios", arg);
       ++positional;
     } else if (positional == 1) {
-      options.top_k = std::stoul(arg);
+      options.top_k = cli::parse_size(kTool, "top-k", arg);
       ++positional;
     } else if (positional == 2) {
-      options.seed = std::stoull(arg);
+      options.seed = cli::parse_size(kTool, "seed", arg);
       ++positional;
     } else {
       return false;
@@ -369,14 +372,9 @@ int run_failure_sweep(const Options& options,
 
 int main(int argc, char** argv) {
   Options options;
-  try {
-    if (!parse_args(argc, argv, options)) {
-      usage();
-      return 2;
-    }
-  } catch (const std::exception&) {
+  if (!parse_args(argc, argv, options)) {
     usage();
-    return 2;
+    return cli::kUsageExit;
   }
   cli::init_tracing();
   const std::size_t num_scenarios = options.num_scenarios;
