@@ -28,6 +28,7 @@
 #include <span>
 #include <string>
 
+#include "panagree/paths/parallel.hpp"
 #include "panagree/storage/snapshot.hpp"
 #include "panagree/topology/caida.hpp"
 #include "panagree/topology/capacity.hpp"
@@ -66,7 +67,17 @@ inline std::size_t num_sources() {
 
 /// Worker threads for per-source fan-outs (0 = one per hardware core);
 /// override with PANAGREE_THREADS. Results are thread-count independent.
-inline std::size_t num_threads() { return env_size("PANAGREE_THREADS", 0); }
+/// Counts above paths::kMaxThreads exit 2 like a malformed value.
+inline std::size_t num_threads() {
+  const std::size_t threads = env_size("PANAGREE_THREADS", 0);
+  if (threads > paths::kMaxThreads) {
+    std::cerr << "[bench] invalid PANAGREE_THREADS='"
+              << std::getenv("PANAGREE_THREADS")
+              << "': " << paths::max_threads_message() << "\n";
+    std::exit(2);
+  }
+  return threads;
+}
 
 /// Path to a CAIDA as-rel2 file, or nullptr for the synthetic generator.
 inline const char* caida_path() {

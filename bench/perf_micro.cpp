@@ -28,7 +28,6 @@
 #include "panagree/diversity/length3.hpp"
 #include "panagree/dynamics/convergence.hpp"
 #include "exhaustive_rank.hpp"
-#include "map_indices_atomic.hpp"
 #include "panagree/econ/business.hpp"
 #include "panagree/obs/metrics.hpp"
 #include "panagree/obs/slowlog.hpp"
@@ -979,18 +978,14 @@ void BM_SnapshotLoad_PrimedBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad_PrimedBaseline)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- parallel driver trio
+// ------------------------------------------- parallel driver
 //
-// The scheduling-overhead workload of the work-stealing driver (ISSUE:
-// BM_MapSources_Skewed >= 2x over the atomic-cursor baseline). All three
-// benches run the *same* heavy-tailed item set - every 512th item spins
-// ~128x longer, the shape of per-source costs on a real AS topology - so
-// the measured difference is pure claim overhead: the atomic baseline
-// pays one shared fetch_add per item, the work-stealing driver one CAS
-// per chunk on a per-worker cache line. Skewed additionally seeds the
-// partition from the known costs (what SweepRunner does with
-// two_hop_cost_estimates). The checksum counter is the byte-identity
-// fingerprint - all three must report the same value.
+// The scheduling-overhead workload of paths::map_indices: a heavy-tailed
+// item set - every 512th item spins ~256x longer, the shape of per-source
+// costs on a real AS topology - of items so cheap that the time is the
+// driver's own claim overhead (one CAS per guided chunk on the shared
+// cursor). The checksum counter is the byte-identity fingerprint: it
+// must not move when the scheduling changes.
 
 constexpr std::size_t kDriverItems = 1 << 18;
 
@@ -1003,17 +998,6 @@ std::uint64_t driver_item_work(std::size_t i) {
   return acc;
 }
 
-const std::vector<std::uint64_t>& driver_item_costs() {
-  static const std::vector<std::uint64_t> costs = [] {
-    std::vector<std::uint64_t> c(kDriverItems, 1);
-    for (std::size_t i = 0; i < kDriverItems; i += 512) {
-      c[i] = 128;
-    }
-    return c;
-  }();
-  return costs;
-}
-
 std::uint64_t sum_results(const std::vector<std::uint64_t>& results) {
   std::uint64_t sum = 0;
   for (const std::uint64_t r : results) {
@@ -1022,21 +1006,7 @@ std::uint64_t sum_results(const std::vector<std::uint64_t>& results) {
   return sum;
 }
 
-void BM_MapSources_AtomicCursor(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    checksum =
-        sum_results(benchcfg::map_indices_atomic(kDriverItems, threads,
-                                              driver_item_work));
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kDriverItems);
-  state.counters["checksum"] = static_cast<double>(checksum);
-}
-BENCHMARK(BM_MapSources_AtomicCursor)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_MapSources_WorkStealing(benchmark::State& state) {
+void BM_MapSources(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::uint64_t checksum = 0;
   for (auto _ : state) {
@@ -1047,22 +1017,7 @@ void BM_MapSources_WorkStealing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDriverItems);
   state.counters["checksum"] = static_cast<double>(checksum);
 }
-BENCHMARK(BM_MapSources_WorkStealing)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_MapSources_Skewed(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  paths::MapOptions options;
-  options.costs = driver_item_costs();
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    checksum = sum_results(
-        paths::map_indices(kDriverItems, threads, driver_item_work, options));
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kDriverItems);
-  state.counters["checksum"] = static_cast<double>(checksum);
-}
-BENCHMARK(BM_MapSources_Skewed)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MapSources)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- role-filter kernel pair
 //

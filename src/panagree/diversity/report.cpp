@@ -39,12 +39,9 @@ DiversityReport analyze_path_diversity(const Graph& graph,
   // Per-source counting is independent: fan out over the parallel driver
   // (results come back in source order, so the rows below are identical
   // for every thread count), then assemble rows serially.
-  paths::MapOptions map_options;
-  map_options.exec.pin_threads = params.pin_threads;
   const std::vector<SourceCounts> per_source = paths::map_sources(
       report.sources, params.threads,
-      [&](AsId src) { return analyzer.count(src, params.top_ns); },
-      map_options);
+      [&](AsId src) { return analyzer.count(src, params.top_ns); });
 
   for (std::size_t i = 0; i < report.sources.size(); ++i) {
     const AsId src = report.sources[i];

@@ -18,9 +18,6 @@ struct DiversityParams {
   /// Worker threads for the per-source fan-out; 0 = one per hardware core.
   /// Results are identical for every value (deterministic merge order).
   std::size_t threads = 0;
-  /// Pin fan-out workers to cpus (paths::ExecPolicy). Results are
-  /// identical either way.
-  bool pin_threads = false;
 };
 
 /// Per-source row: absolute numbers of length-3 paths (or destinations)

@@ -1,4 +1,4 @@
-// Per-source work-stealing parallel driver for path enumeration.
+// Per-source parallel driver for path enumeration.
 //
 // Every large-scale analysis in this repo fans out over independent source
 // ASes (SPP compilation per node, diversity counts per sampled AS, the
@@ -8,24 +8,14 @@
 // byte-identical for every thread count, including 1. Parallelism never
 // changes results, only wall-clock time.
 //
-// Scheduling is work-stealing over chunked ranges (steal.hpp): the index
-// space is split into one contiguous, cost-balanced seed range per worker
-// (degree-aware estimates when the caller has them - per-source costs are
-// heavy-tailed, a handful of hub ASes dominate a sweep), owners claim
-// geometric chunks off the front of their range, and an idle worker steals
-// the back half of a victim's remainder. Compared to the previous design -
-// a single shared atomic cursor claiming one source per fetch_add - this
-// removes the per-item claim from the hot path (one CAS per *chunk*, on a
-// per-worker cache line) and stops tail sources from serializing the
-// sweep: a mega-degree source pins one worker while the rest redistribute
-// everything else among themselves. The old driver lives on as the
-// measured baseline of the BM_MapSources_* benches, in
-// bench/map_indices_atomic.hpp.
-//
-// NUMA placement rides on the same seeding: ExecPolicy pins worker
-// threads to cpus (TopologyPlacement), dealt to nodes in the same
-// contiguous blocks as the seed ranges, so a node's workers walk a
-// node-local shard of the source space.
+// Scheduling is guided self-scheduling off one shared cursor: a worker
+// claims the contiguous chunk [cursor, cursor + chunk) with one CAS, where
+// chunk = max(1, remaining / (2 * workers)). Early claims are large, so
+// the cursor's cache line is touched a few dozen times per fan-out rather
+// than once per item (a per-item fetch_add contends badly on cheap
+// items). Chunks shrink with what is left, down to single indices at the
+// tail: a worker held up by a heavy source (a hub AS among stubs) keeps
+// only its current chunk while the others drain the rest of the space.
 #pragma once
 
 #include <algorithm>
@@ -36,19 +26,35 @@
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <span>
+#include <new>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "panagree/obs/metrics.hpp"
-#include "panagree/paths/placement.hpp"
-#include "panagree/paths/steal.hpp"
-#include "panagree/topology/compiled.hpp"
 #include "panagree/topology/graph.hpp"
 #include "panagree/util/error.hpp"
 
 namespace panagree::paths {
+
+// The std constant is the right alignment for keeping hot shared atomics
+// off each other's cache lines, but naming it is an ABI-affecting choice
+// GCC flags with -Winterference-size; capture it once, silenced, and use
+// the local constant everywhere.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winterference-size"
+#endif
+#ifdef __cpp_lib_hardware_interference_size
+inline constexpr std::size_t kCacheLineAlign =
+    std::hardware_destructive_interference_size;
+#else
+inline constexpr std::size_t kCacheLineAlign = 64;
+#endif
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace detail {
 
@@ -57,16 +63,12 @@ namespace detail {
 /// the tally code compiles out entirely (obs::enabled() is constexpr).
 struct DriverMetrics {
   obs::Counter& items_claimed;
-  obs::Counter& items_stolen;
-  obs::Counter& steal_failures;
   obs::Histogram& worker_busy_ns;
 };
 
 [[nodiscard]] inline DriverMetrics& driver_metrics() {
   static DriverMetrics metrics{
       obs::Registry::global().counter("paths.items_claimed"),
-      obs::Registry::global().counter("paths.items_stolen"),
-      obs::Registry::global().counter("paths.steal_failures"),
       obs::Registry::global().histogram("paths.worker_busy_ns"),
   };
   return metrics;
@@ -76,8 +78,6 @@ struct DriverMetrics {
 /// exit path of the worker body, including the failure returns).
 struct WorkerTally {
   std::uint64_t claimed = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t steal_failures = 0;
   std::uint64_t busy_ns = 0;
 
   ~WorkerTally() {
@@ -85,12 +85,6 @@ struct WorkerTally {
       DriverMetrics& metrics = driver_metrics();
       if (claimed != 0) {
         metrics.items_claimed.add(claimed);
-      }
-      if (stolen != 0) {
-        metrics.items_stolen.add(stolen);
-      }
-      if (steal_failures != 0) {
-        metrics.steal_failures.add(steal_failures);
       }
       metrics.worker_busy_ns.record(busy_ns);
     }
@@ -108,10 +102,47 @@ struct WorkerTally {
   }
 }
 
+/// Claims the next guided chunk [begin, end) of [0, count) off `cursor`:
+/// half of an even per-worker share of what is left, at least one index.
+/// False once the cursor has passed `count`.
+[[nodiscard]] inline bool claim_chunk(std::atomic<std::size_t>& cursor,
+                                      std::size_t count, std::size_t workers,
+                                      std::size_t& begin, std::size_t& end) {
+  std::size_t at = cursor.load(std::memory_order_relaxed);
+  for (;;) {
+    if (at >= count) {
+      return false;
+    }
+    const std::size_t chunk =
+        std::max<std::size_t>(1, (count - at) / (2 * workers));
+    // Relaxed suffices: the CAS only hands out disjoint ranges; results
+    // reach the caller through the worker joins.
+    if (cursor.compare_exchange_weak(at, at + chunk,
+                                     std::memory_order_relaxed)) {
+      begin = at;
+      end = at + chunk;
+      return true;
+    }
+  }
+}
+
 }  // namespace detail
 
-/// Resolves a requested worker count: 0 means "use the hardware", anything
-/// else is taken literally. Always >= 1.
+/// Largest worker count any fan-out or tool accepts. Far above the cores
+/// of any host this runs on, and low enough that a mistyped --threads or
+/// PANAGREE_THREADS is a usage error rather than thousands of threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Why a worker count above kMaxThreads is refused; the tools print it
+/// after "invalid <flag> '<value>': ".
+[[nodiscard]] inline std::string max_threads_message() {
+  return "expected at most " + std::to_string(kMaxThreads) +
+         " worker threads";
+}
+
+/// Resolves a requested worker count: 0 means "use the hardware" (capped
+/// at kMaxThreads), anything else is taken literally. Always >= 1; throws
+/// util::PreconditionError above kMaxThreads.
 [[nodiscard]] std::size_t resolve_thread_count(std::size_t requested);
 
 /// Below this many sources the driver runs serially regardless of the
@@ -119,60 +150,24 @@ struct WorkerTally {
 /// workloads, and results are identical either way.
 inline constexpr std::size_t kMinParallelSources = 32;
 
-/// How workers are placed on the machine. Results never depend on it.
-struct ExecPolicy {
-  /// Pin each worker thread to a cpu (node-blocked when the placement has
-  /// several NUMA nodes). Defaults off: pinning helps dedicated sweep /
-  /// serve processes and hurts oversubscribed shared hosts.
-  bool pin_threads = false;
-  /// Machine model used for pinning; nullptr = the detected system
-  /// placement (TopologyPlacement::system()).
-  const TopologyPlacement* placement = nullptr;
-};
-
-/// Tuning knobs of map_indices. The defaults reproduce the plain
-/// map_indices(count, threads, fn) behavior.
-struct MapOptions {
-  /// Workload size below which the driver stays serial - keep the default
-  /// for cheap per-source units, lower it when each unit is a heavy batch.
-  std::size_t min_parallel = kMinParallelSources;
-  /// Optional per-index cost estimates (size == count) seeding the
-  /// initial partition; empty = equal-size seed ranges. Estimates only
-  /// steer the seeding - stealing corrects any misestimate - so cheap
-  /// proxies (degrees) are the right fidelity.
-  std::span<const std::uint64_t> costs = {};
-  ExecPolicy exec;
-};
-
-/// Degree-aware cost estimates for bounded-depth per-source enumerations:
-/// cost(src) = 1 + sum of degree(neighbor) over src's neighbors - the
-/// exact number of depth-2 extension candidates, the dominant term of the
-/// length-3 analyses and a sound proxy for deeper walks.
-[[nodiscard]] std::vector<std::uint64_t> two_hop_cost_estimates(
-    const topology::CompiledTopology& topo,
-    std::span<const topology::AsId> sources);
-
-/// Binds the pages of `topo`'s CSR entry array and role lane to the
-/// placement's NUMA nodes in contiguous per-node AS shards - the same
-/// contiguous blocks node_of_worker deals workers into, so a node's
-/// workers walk node-local rows. Best-effort and a no-op (returns false)
-/// on single-node placements; already-touched private pages stay where
-/// first-touch put them (bind right after loading a snapshot for the
-/// bind to matter). Results are byte-identical either way.
-bool bind_topology_to_nodes(const TopologyPlacement& placement,
-                            const topology::CompiledTopology& topo);
+/// The calling thread's current affinity as "cpus=K/N" (K allowed of N
+/// online) - what panagree-serve reports in its readiness line.
+[[nodiscard]] std::string affinity_summary();
 
 /// Runs `fn(i)` for every index in [0, count) and returns the results in
 /// index order - the generic core of the per-source driver, also the
 /// fan-out for any other independent unit of work (the deployment
 /// optimizer maps over *candidate scenarios* with it). `fn` must be
 /// callable concurrently from multiple threads; its result type must be
-/// default-constructible and movable. The first exception thrown by any
-/// invocation is rethrown on the calling thread after all workers have
-/// drained.
+/// default-constructible and movable. Workloads below `min_parallel` run
+/// serially on the calling thread - keep the default for cheap
+/// per-source units, lower it when each unit is a heavy batch. The first
+/// exception thrown by any invocation is rethrown on the calling thread
+/// after all workers have drained.
 template <typename Fn>
 [[nodiscard]] auto map_indices(std::size_t count, std::size_t threads,
-                               Fn&& fn, const MapOptions& options = {})
+                               Fn&& fn,
+                               std::size_t min_parallel = kMinParallelSources)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
   using Result = std::invoke_result_t<Fn&, std::size_t>;
   // std::vector<bool> packs bits: concurrent writes to distinct indices
@@ -184,7 +179,7 @@ template <typename Fn>
                 "map_indices: count exceeds 32-bit index space");
   std::vector<Result> results(count);
   const std::size_t workers = std::min(resolve_thread_count(threads), count);
-  if (workers <= 1 || count < options.min_parallel) {
+  if (workers <= 1 || count < min_parallel) {
     detail::WorkerTally tally;
     const std::uint64_t start = detail::busy_clock_ns();
     for (std::size_t i = 0; i < count; ++i) {
@@ -195,88 +190,36 @@ template <typename Fn>
     return results;
   }
 
-  // Seed one range per worker, cost-balanced when estimates were given.
-  const auto seeds = partition_by_cost(options.costs, count, workers);
-  std::vector<detail::StealRange> ranges(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    ranges[w].reset(seeds[w].first, seeds[w].second);
-  }
-
-  // Indices executed so far, the termination test: work only ever moves
-  // between ranges, so remaining == 0 means every index ran (or is
-  // running on the worker that claimed it). Own cache line - this is the
-  // one shared counter left, written once per chunk, not per item.
+  // The one shared cursor, on its own cache line so the failure flag
+  // (read before every claim) does not bounce with it.
   struct alignas(kCacheLineAlign) Shared {
-    std::atomic<std::size_t> remaining{0};
+    std::atomic<std::size_t> cursor{0};
     alignas(kCacheLineAlign) std::atomic<bool> failed{false};
   } shared;
-  shared.remaining.store(count, std::memory_order_relaxed);
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  const TopologyPlacement* placement =
-      options.exec.placement != nullptr ? options.exec.placement
-                                        : &TopologyPlacement::system();
-  const bool pin = options.exec.pin_threads;
-
-  const auto worker = [&](std::size_t self) {
-    if (pin) {
-      // Best-effort: a refused bind runs unpinned, results unchanged.
-      (void)placement->bind_worker(self, workers);
-    }
+  const auto worker = [&] {
     detail::WorkerTally tally;  // flushes to the obs registry at exit
-    bool range_is_stolen = false;
-    detail::StealRange& own = ranges[self];
-    for (;;) {
-      std::uint32_t begin = 0;
-      std::uint32_t end = 0;
-      while (own.try_claim(begin, end)) {
-        if (shared.failed.load(std::memory_order_relaxed)) {
-          return;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (!shared.failed.load(std::memory_order_relaxed) &&
+           detail::claim_chunk(shared.cursor, count, workers, begin, end)) {
+      const std::uint64_t start = detail::busy_clock_ns();
+      try {
+        for (std::size_t i = begin; i < end; ++i) {
+          results[i] = fn(i);
         }
-        const std::uint64_t start = detail::busy_clock_ns();
-        try {
-          for (std::uint32_t i = begin; i < end; ++i) {
-            results[i] = fn(static_cast<std::size_t>(i));
-          }
-        } catch (...) {
-          shared.failed.store(true, std::memory_order_relaxed);
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) {
-            error = std::current_exception();
-          }
-          return;
+      } catch (...) {
+        shared.failed.store(true, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) {
+          error = std::current_exception();
         }
-        tally.busy_ns += detail::busy_clock_ns() - start;
-        // Attribution: items run out of the seed range count as claimed,
-        // items run after a steal as stolen (each item exactly once, by
-        // the worker that executed it).
-        (range_is_stolen ? tally.stolen : tally.claimed) += end - begin;
-        shared.remaining.fetch_sub(end - begin, std::memory_order_acq_rel);
+        return;
       }
-      // Own range dry: scan victims round-robin for a back half.
-      bool stole = false;
-      for (std::size_t off = 1; off < workers && !stole; ++off) {
-        const std::size_t victim = (self + off) % workers;
-        if (ranges[victim].try_steal(begin, end)) {
-          own.reset(begin, end);  // stolen work is stealable in turn
-          range_is_stolen = true;
-          stole = true;
-        }
-      }
-      if (!stole) {
-        if (shared.remaining.load(std::memory_order_acquire) == 0 ||
-            shared.failed.load(std::memory_order_relaxed)) {
-          return;
-        }
-        // A full victim scan came up empty while work is still in
-        // flight: the steal-failure count is the driver's contention /
-        // idle-spin signal.
-        ++tally.steal_failures;
-        // Everything is claimed-and-running or briefly in transit between
-        // ranges; don't spin the cpu a working thread could use.
-        std::this_thread::yield();
-      }
+      tally.busy_ns += detail::busy_clock_ns() - start;
+      tally.claimed += end - begin;
     }
   };
 
@@ -284,7 +227,7 @@ template <typename Fn>
   pool.reserve(workers);
   try {
     for (std::size_t t = 0; t < workers; ++t) {
-      pool.emplace_back(worker, t);
+      pool.emplace_back(worker);
     }
   } catch (...) {
     // Thread creation failed (resource pressure): drain the workers that
@@ -304,27 +247,16 @@ template <typename Fn>
   return results;
 }
 
-/// map_indices with an explicit serial-threshold override and default
-/// options otherwise (the pre-MapOptions calling convention).
-template <typename Fn>
-[[nodiscard]] auto map_indices(std::size_t count, std::size_t threads,
-                               Fn&& fn, std::size_t min_parallel)
-    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
-  MapOptions options;
-  options.min_parallel = min_parallel;
-  return map_indices(count, threads, std::forward<Fn>(fn), options);
-}
-
 /// Runs `fn(sources[i])` for every i and returns the results in source
 /// order (see map_indices for the concurrency contract).
 template <typename Fn>
 [[nodiscard]] auto map_sources(const std::vector<topology::AsId>& sources,
                                std::size_t threads, Fn&& fn,
-                               const MapOptions& options = {})
+                               std::size_t min_parallel = kMinParallelSources)
     -> std::vector<std::invoke_result_t<Fn&, topology::AsId>> {
   return map_indices(
       sources.size(), threads,
-      [&](std::size_t i) { return fn(sources[i]); }, options);
+      [&](std::size_t i) { return fn(sources[i]); }, min_parallel);
 }
 
 }  // namespace panagree::paths

@@ -110,9 +110,6 @@ struct SweepConfig {
   /// with proof) for the canonical sweep - on small-world AS graphs the
   /// radius-2 ball of a hub covers most sources and forfeits the caching.
   std::size_t dirty_radius = 2;
-  /// Worker placement of the fan-outs (thread pinning / NUMA sharding).
-  /// Results never depend on it.
-  paths::ExecPolicy exec;
 };
 
 /// Per-scenario accounting of the cache's effectiveness.
@@ -184,7 +181,7 @@ class SweepRunner {
     const Overlay empty(*base_);
     cache_ = paths::map_sources(
         sources_, config_.threads,
-        [&](AsId src) { return fn(empty, src); }, map_options(sources_));
+        [&](AsId src) { return fn(empty, src); });
     state_ = Delta{};
     primed_ = true;
     if constexpr (obs::enabled()) {
@@ -380,8 +377,7 @@ class SweepRunner {
     }
     fresh_ = paths::map_sources(
         dirty_sources_, config_.threads,
-        [&](AsId src) { return fn(overlay, src); },
-        map_options(dirty_sources_));
+        [&](AsId src) { return fn(overlay, src); });
 
     if (stats != nullptr) {
       stats->recomputed_sources = dirty_sources_.size();
@@ -399,22 +395,6 @@ class SweepRunner {
     return dirty_sources_.size();
   }
 
-  /// Driver options of a fan-out over `sources`: the configured placement
-  /// plus degree-aware cost seeding, so one hub source among hundreds of
-  /// stubs seeds as its own worker range instead of serializing the tail
-  /// (the estimate is exact for the length-3 enumerations and a sound
-  /// proxy otherwise; stealing corrects any residue). The estimates are
-  /// computed against the base snapshot - deltas move single links, which
-  /// cannot change the cost *ranking* enough to matter for seeding.
-  [[nodiscard]] paths::MapOptions map_options(
-      const std::vector<AsId>& sources) {
-    cost_scratch_ = paths::two_hop_cost_estimates(*base_, sources);
-    paths::MapOptions options;
-    options.costs = cost_scratch_;
-    options.exec = config_.exec;
-    return options;
-  }
-
   const CompiledTopology* base_;
   std::vector<AsId> sources_;
   SweepConfig config_;
@@ -428,8 +408,6 @@ class SweepRunner {
   std::vector<std::size_t> dirty_positions_;
   std::vector<AsId> dirty_sources_;
   std::vector<Result> fresh_;
-  /// Backs the cost span handed to the driver (map_options).
-  std::vector<std::uint64_t> cost_scratch_;
 };
 
 }  // namespace panagree::scenario

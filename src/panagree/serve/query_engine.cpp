@@ -71,14 +71,10 @@ void QueryEngine::prime_restored(
     std::vector<scenario::SourcePathSet>&& baseline) {
   install([this, &baseline](State& state) {
     // state.overlay is still the base snapshot the sets were primed on.
-    paths::MapOptions options;
-    options.exec.pin_threads = config_.pin_threads;
     state.runner.restore_baseline(paths::map_indices(
-        baseline.size(), config_.threads,
-        [&](std::size_t i) {
+        baseline.size(), config_.threads, [&](std::size_t i) {
           return aggregator_.score(state.overlay, std::move(baseline[i]));
-        },
-        options));
+        }));
   });
 }
 
@@ -93,7 +89,6 @@ void QueryEngine::install(const std::function<void(State&)>& fill) {
   scenario::SweepConfig sweep;
   sweep.threads = config_.threads;
   sweep.dirty_radius = scenario::kLength3DirtyRadius;
-  sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
   fill(*state);
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);

@@ -53,9 +53,6 @@ struct EngineConfig {
   /// (0 = hardware concurrency). Request handling itself runs on the
   /// caller's thread.
   std::size_t threads = 0;
-  /// Pin the prime()/rebase() fan-out workers to cpus (NUMA-blocked; see
-  /// paths::ExecPolicy). Results are identical either way.
-  bool pin_threads = false;
 };
 
 class QueryEngine {

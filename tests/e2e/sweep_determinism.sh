@@ -4,7 +4,8 @@
 # topology with 40 sources is the smallest setting whose per-source
 # fan-outs leave the serial path (paths::kMinParallelSources = 32), so the
 # diff compares the parallel driver against the serial one. Also checks
-# that malformed and zero option values are usage errors (exit 2).
+# that malformed, zero and over-the-cap option values are usage errors
+# (exit 2).
 #
 #   sweep_determinism.sh BIN_DIR
 set -euo pipefail
@@ -40,10 +41,16 @@ done
 grep -q 'ranked by worst-case surviving' "$work/t1.out" \
   || fail "--fail-ases output lacks the surviving-diversity ranking"
 
-for args in "--optimize beam --beam -1" "--optimize beam --beam 0"; do
+for args in "--optimize beam --beam -1" "--optimize beam --beam 0" \
+            "--threads 257"; do
   status=0
   # shellcheck disable=SC2086
   "$sweep" 8 5 $args > /dev/null 2>&1 || status=$?
   [ "$status" -eq 2 ] || fail "'$args' exited $status, expected 2"
 done
+# Worker counts above paths::kMaxThreads are refused at parse time,
+# before any thread starts - from the flag (above) and the environment.
+status=0
+PANAGREE_THREADS=100000 "$sweep" 8 5 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || fail "PANAGREE_THREADS=100000 exited $status, expected 2"
 echo "ok: ${#modes[@]} modes byte-identical at 1 and 4 threads"

@@ -254,6 +254,12 @@ TEST(MapSources, SmallWorkloadsRunSeriallyButIdentically) {
 TEST(MapSources, ResolveThreadCount) {
   EXPECT_EQ(resolve_thread_count(3), 3u);
   EXPECT_GE(resolve_thread_count(0), 1u);
+  EXPECT_LE(resolve_thread_count(0), kMaxThreads);
+  EXPECT_EQ(resolve_thread_count(kMaxThreads), kMaxThreads);
+  // Refused before any thread starts, also through the driver.
+  EXPECT_THROW((void)resolve_thread_count(257), util::PreconditionError);
+  EXPECT_THROW((void)map_sources({1, 2}, 257, [](AsId as) { return as; }),
+               util::PreconditionError);
 }
 
 // Determinism: the parallel enumerator yields byte-identical results to the

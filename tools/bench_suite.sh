@@ -33,11 +33,12 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # perf_micro: the CSR / sweep / optimizer trajectory benches. The
 # heavyweight *_FullRecompute and *_Exhaustive ablation baselines are
 # excluded on purpose - they exist to measure one-off speedup factors,
-# not to be tracked per commit. The MapSources trio and RoleFilter pair
-# ARE tracked including their baselines (AtomicCursor, Scalar): they are
-# cheap, and gating both sides keeps the work-stealing and SIMD speedup
-# ratios visible in the committed JSON, not just asserted once. The Obs
-# pair gates the per-record overhead of the metrics layer itself
+# not to be tracked per commit. MapSources gates the parallel driver's
+# own claim overhead on cheap heavy-tailed items. The RoleFilter pair IS
+# tracked including its Scalar baseline: both sides are cheap, and
+# gating both keeps the SIMD speedup ratio visible in the committed
+# JSON, not just asserted once. The Obs pair gates the per-record
+# overhead of the metrics layer itself
 # (counter = one sharded relaxed add, histogram = two) so accidental
 # fattening of the record path is caught like any other regression -
 # including the slow-query ring's worst-case eviction scan

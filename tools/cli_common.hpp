@@ -12,8 +12,9 @@
 //     tool already uses for usage errors, and the same message shape
 //     bench_common uses for malformed PANAGREE_* environment overrides;
 //   * --threads means the same thing everywhere: worker threads for
-//     per-source fan-outs, 0 = one per hardware core, overriding the
-//     PANAGREE_THREADS environment default.
+//     per-source fan-outs, 0 = one per hardware core, at most
+//     paths::kMaxThreads, overriding the PANAGREE_THREADS environment
+//     default (which bench_common bounds the same way).
 #pragma once
 
 #include <charconv>
@@ -23,6 +24,7 @@
 
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/trace.hpp"
+#include "panagree/paths/parallel.hpp"
 #include "panagree/paths/role_filter.hpp"
 
 namespace panagree::cli {
@@ -60,10 +62,18 @@ inline std::size_t parse_size(const char* tool, std::string_view flag,
 
 /// The shared --threads option (call with argv[i] == "--threads"):
 /// consumes the value and returns the worker count, 0 = one per core.
+/// Counts above paths::kMaxThreads exit kUsageExit before any thread
+/// starts.
 inline std::size_t parse_threads(const char* tool, int argc, char** argv,
                                  int& i) {
-  return parse_size(tool, "--threads",
-                    require_value(tool, "--threads", argc, argv, i));
+  const char* value = require_value(tool, "--threads", argc, argv, i);
+  const std::size_t threads = parse_size(tool, "--threads", value);
+  if (threads > paths::kMaxThreads) {
+    std::cerr << tool << ": invalid --threads '" << value
+              << "': " << paths::max_threads_message() << "\n";
+    std::exit(kUsageExit);
+  }
+  return threads;
 }
 
 /// The shared --version flag: one line of build provenance (git
@@ -91,17 +101,6 @@ inline std::size_t env_slow_ms(const char* tool, std::size_t fallback) {
     return fallback;
   }
   return parse_size(tool, "PANAGREE_SLOW_MS", env);
-}
-
-/// Default of the shared --pin-threads flag: the PANAGREE_PIN_THREADS
-/// environment toggle (unset, empty, or "0" = off; anything else = on).
-/// --pin-threads pins fan-out workers to cpus, NUMA-blocked on
-/// multi-node hosts (paths::ExecPolicy); results are identical either
-/// way - pinning is pure placement.
-inline bool env_pin_threads() {
-  const char* env = std::getenv("PANAGREE_PIN_THREADS");
-  return env != nullptr && env[0] != '\0' &&
-         std::string_view(env) != std::string_view("0");
 }
 
 }  // namespace panagree::cli

@@ -3,7 +3,6 @@
 // generated synthetic topology.
 //
 //   panagree-diversity <as-rel2-file> [sources] [seed] [--threads N]
-//       [--pin-threads]
 //   panagree-diversity --synthetic <num_ases> [sources] [seed]
 //   panagree-diversity --snapshot <file.pansnap> [sources] [seed]
 //
@@ -31,10 +30,8 @@
 using namespace panagree;
 
 int main(int raw_argc, char** raw_argv) {
-  // --threads/--pin-threads may appear anywhere; strip them before the
-  // positional logic.
+  // --threads may appear anywhere; strip it before the positional logic.
   std::size_t threads = 0;
-  bool pin_threads = panagree::cli::env_pin_threads();
   std::vector<char*> args;
   args.push_back(raw_argv[0]);
   for (int i = 1; i < raw_argc; ++i) {
@@ -43,8 +40,6 @@ int main(int raw_argc, char** raw_argv) {
     } else if (std::string(raw_argv[i]) == "--threads") {
       threads = panagree::cli::parse_threads("panagree-diversity", raw_argc,
                                              raw_argv, i);
-    } else if (std::string(raw_argv[i]) == "--pin-threads") {
-      pin_threads = true;
     } else {
       args.push_back(raw_argv[i]);
     }
@@ -54,7 +49,7 @@ int main(int raw_argc, char** raw_argv) {
   char** argv = args.data();
   if (argc < 2) {
     std::cerr << "usage: panagree-diversity <as-rel2-file> [sources] [seed]"
-                 " [--threads N] [--pin-threads]\n"
+                 " [--threads N]\n"
               << "       panagree-diversity --synthetic <num_ases> [sources] "
                  "[seed]\n"
               << "       panagree-diversity --snapshot <file.pansnap> "
@@ -90,7 +85,6 @@ int main(int raw_argc, char** raw_argv) {
     params.sample_sources = argc > arg ? std::stoul(argv[arg]) : 500;
     params.seed = argc > arg + 1 ? std::stoull(argv[arg + 1]) : 7;
     params.threads = threads;
-    params.pin_threads = pin_threads;
 
     std::cerr << "topology: " << graph.num_ases() << " ASes, "
               << graph.num_links() << " links; analyzing "

@@ -2,7 +2,7 @@
 //
 //   panagree-serve [--snapshot FILE] [--port P] [--threads N]
 //       [--max-batch B] [--sources N] [--shards N] [--max-queue Q]
-//       [--pin-threads] [--stats-interval SEC] [--slow-ms MS] [--version]
+//       [--stats-interval SEC] [--slow-ms MS] [--version]
 //
 // Opens the topology (a mmap'd .pansnap via --snapshot or
 // PANAGREE_SNAPSHOT wins; PANAGREE_CAIDA / the synthetic generator
@@ -27,9 +27,7 @@
 // (0 = one per core); --max-batch bounds the per-epoch what-if memo
 // (concurrent identical what-ifs share one enumeration); --sources is
 // the cached sample size (the paper's 500 by default, PANAGREE_SOURCES
-// honored). --pin-threads (or PANAGREE_PIN_THREADS=1) pins fan-out
-// workers to cpus and NUMA-shards the snapshot pages; the readiness
-// line reports the effective affinity either way.
+// honored). The readiness line reports the process affinity.
 //
 // --stats-interval SEC (opt-in, 0 = off) prints a one-line metrics
 // summary to stderr every SEC seconds while idle-waiting for shutdown;
@@ -72,8 +70,8 @@ void usage() {
                " [--threads N]\n"
                "           [--max-batch B] [--sources N] [--shards N]"
                " [--max-queue Q]\n"
-               "           [--pin-threads] [--stats-interval SEC]"
-               " [--slow-ms MS] [--version]\n";
+               "           [--stats-interval SEC] [--slow-ms MS]"
+               " [--version]\n";
 }
 
 /// The opt-in periodic stats line: engine/server counters and the queue
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
   std::size_t max_queue = 1024;
   std::size_t stats_interval = 0;
   std::size_t slow_ms = cli::env_slow_ms(kTool, 10);
-  bool pin_threads = cli::env_pin_threads();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
@@ -158,8 +155,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--slow-ms") {
       slow_ms = cli::parse_size(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
-    } else if (arg == "--pin-threads") {
-      pin_threads = true;
     } else {
       usage();
       return cli::kUsageExit;
@@ -172,13 +167,7 @@ int main(int argc, char** argv) {
   try {
     servecfg::ServeContext context(
         snapshot.empty() ? nullptr : snapshot.c_str(), sources_n, threads,
-        max_batch, shards, pin_threads);
-    if (pin_threads) {
-      // NUMA-shard the CSR pages before the prime fan-out first-touches
-      // them (no-op on single-node hosts; results identical regardless).
-      (void)paths::bind_topology_to_nodes(paths::TopologyPlacement::system(),
-                                          context.net.compiled());
-    }
+        max_batch, shards);
     const auto prime_start = std::chrono::steady_clock::now();
     const bool primed_from_snapshot = context.prime();
     const double prime_ms = std::chrono::duration<double, std::milli>(
@@ -209,18 +198,14 @@ int main(int argc, char** argv) {
     ::sigaction(SIGINT, &action, nullptr);
 
     // The readiness line scripts and clients wait for - stdout, flushed.
-    // The trailing fields report the *effective* placement: the process
-    // affinity (narrowed when workers pinned under a restrictive
-    // placement), the NUMA layout seen, and the role-filter kernel in
-    // use - so scripts can verify --pin-threads / PANAGREE_NO_SIMD took
-    // effect without attaching to the process.
+    // The trailing fields report the process affinity and the
+    // role-filter kernel in use - so scripts can verify a cpu mask or
+    // PANAGREE_NO_SIMD took effect without attaching to the process.
     std::cout << "listening on 127.0.0.1:" << server.port()
               << " affinity=" << paths::affinity_summary()
-              << " pinned=" << (pin_threads ? "on" : "off")
               << " shards=" << shards
               << " primed=" << (primed_from_snapshot ? "snapshot" : "computed")
-              << " numa=\"" << paths::TopologyPlacement::system().describe()
-              << "\" simd=" << paths::role_filter_dispatch()
+              << " simd=" << paths::role_filter_dispatch()
               << " build=" << obs::build_info().git_describe << std::endl;
 
     // Idle-wait for the shutdown byte; with --stats-interval the wait

@@ -5,7 +5,7 @@
 //   panagree-sweep [scenarios] [top-k] [seed]
 //       [--optimize greedy|beam] [--steps N] [--beam W] [--no-share]
 //       [--failures K | --fail-ases] [--samples N]
-//       [--snapshot FILE] [--threads N] [--pin-threads]
+//       [--snapshot FILE] [--threads N]
 //
 // Defaults: 200 candidate deployments, top 10 shown, seed 4242. Every
 // candidate is a single new peering link between two ASes that share a
@@ -80,8 +80,6 @@ struct Options {
   std::string snapshot;  // --snapshot FILE (empty = PANAGREE_SNAPSHOT/env)
   /// --threads N (default: the PANAGREE_THREADS env, 0 = hardware).
   std::size_t threads = benchcfg::num_threads();
-  /// --pin-threads (default: the PANAGREE_PIN_THREADS env).
-  bool pin_threads = cli::env_pin_threads();
 
   /// Flags are order-insensitive: an explicit --beam always wins, and
   /// --optimize beam without one defaults to width 2 (greedy = 1).
@@ -98,8 +96,7 @@ void usage() {
             << "           [--optimize greedy|beam] [--steps N] [--beam W]"
                " [--no-share]\n"
             << "           [--failures K | --fail-ases] [--samples N]\n"
-            << "           [--snapshot FILE] [--threads N]"
-               " [--pin-threads]\n";
+            << "           [--snapshot FILE] [--threads N]\n";
 }
 
 constexpr const char* kTool = "panagree-sweep";
@@ -157,8 +154,6 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.snapshot = argv[++i];
     } else if (arg == "--threads") {
       options.threads = cli::parse_threads(kTool, argc, argv, i);
-    } else if (arg == "--pin-threads") {
-      options.pin_threads = true;
     } else if (arg == "--no-share") {
       options.share = false;
     } else if (positional == 0) {
@@ -235,7 +230,6 @@ int run_failure_sweep(const Options& options,
   scenario::SweepConfig config;
   config.threads = options.threads;
   config.dirty_radius = scenario::kLength3DirtyRadius;
-  config.exec.pin_threads = options.pin_threads;
   scenario::SweepRunner<scenario::SourcePathSet> runner(compiled, sources,
                                                         config);
   runner.prime([](const scenario::Overlay& overlay, AsId src) {
@@ -386,12 +380,6 @@ int main(int argc, char** argv) {
         /*synthetic_cap=*/0,
         options.snapshot.empty() ? nullptr : options.snapshot.c_str());
     const topology::CompiledTopology& compiled = net.compiled();
-    if (options.pin_threads) {
-      // Best-effort NUMA sharding of the CSR pages; a no-op on
-      // single-node hosts and results are identical regardless.
-      (void)paths::bind_topology_to_nodes(paths::TopologyPlacement::system(),
-                                          compiled);
-    }
     const econ::Economy economy = econ::make_default_economy(net.graph());
     // A CAIDA graph is embedded with synthetic geodata (and a snapshot
     // stores the world tables), so the world is always usable here.
@@ -422,7 +410,6 @@ int main(int argc, char** argv) {
       config.beam_width = beam_width;
       config.sweep.threads = options.threads;
       config.sweep.dirty_radius = scenario::kLength3DirtyRadius;
-      config.sweep.exec.pin_threads = options.pin_threads;
       config.share_recomputes = options.share;
       const scenario::Optimizer optimizer(compiled, sources, aggregator,
                                           config);
@@ -481,7 +468,6 @@ int main(int argc, char** argv) {
     scenario::SweepConfig config;
     config.threads = options.threads;
     config.dirty_radius = scenario::kLength3DirtyRadius;
-    config.exec.pin_threads = options.pin_threads;
     scenario::SweepRunner<scenario::SourcePathSet> runner(compiled, sources,
                                                           config);
     const auto enumerate = [](const scenario::Overlay& overlay, AsId src) {

@@ -42,13 +42,12 @@ struct ServeContext {
   /// sampled with the benches' shared seed.
   ServeContext(const char* snapshot_override, std::size_t sources_n,
                std::size_t threads, std::size_t max_batch,
-               std::size_t shards = 1, bool pin_threads = false)
+               std::size_t shards = 1)
       : net(benchcfg::load_internet(0, snapshot_override)),
         economy(econ::make_default_economy(net.graph())),
         sources(diversity::sample_sources(net.graph(), sources_n,
                                           benchcfg::kSampleSeed)),
-        engines(make_engines(net, economy, sources, shards, threads,
-                             pin_threads)),
+        engines(make_engines(net, economy, sources, shards, threads)),
         router(engine_pointers(engines), router_config(max_batch)) {}
 
   ServeContext(const ServeContext&) = delete;
@@ -78,14 +77,6 @@ struct ServeContext {
   serve::ShardRouter router;
 
  private:
-  static serve::EngineConfig engine_config(std::size_t threads,
-                                           bool pin_threads) {
-    serve::EngineConfig config;
-    config.threads = threads;
-    config.pin_threads = pin_threads;
-    return config;
-  }
-
   static serve::RouterConfig router_config(std::size_t max_batch) {
     serve::RouterConfig config;
     config.max_batch = max_batch;
@@ -95,7 +86,7 @@ struct ServeContext {
   static std::vector<std::unique_ptr<serve::QueryEngine>> make_engines(
       const benchcfg::Internet& net, const econ::Economy& economy,
       const std::vector<topology::AsId>& sources, std::size_t shards,
-      std::size_t threads, bool pin_threads) {
+      std::size_t threads) {
     util::require(shards > 0, "serve: need at least one shard");
     util::require(shards <= std::max<std::size_t>(sources.size(), 1),
                   "serve: more shards than sampled sources");
@@ -108,7 +99,7 @@ struct ServeContext {
           net.compiled(), &net.world(), &economy,
           std::vector<topology::AsId>(sources.begin() + begin,
                                       sources.begin() + end),
-          engine_config(threads, pin_threads)));
+          serve::EngineConfig{threads}));
     }
     return engines;
   }
